@@ -84,9 +84,9 @@ class DDPGAgent:
     ) -> None:
         self.config = config
         #: explicit tracer; ``None`` resolves the ambient one lazily.
-        #: Telemetry is read-only: every traced quantity is either already
-        #: computed by the update or derived by an extra stateless forward
-        #: pass, so enabling it cannot change the learning trajectory.
+        #: Telemetry is read-only: every traced quantity is already
+        #: computed by the update, so enabling it cannot change the
+        #: learning trajectory.
         self.tracer = tracer
         self._last_actor_objective: float | None = None
         rng = np.random.default_rng(config.seed)
@@ -205,26 +205,26 @@ class DDPGAgent:
             # value of every (state, action) pair in the episode.
             target = rewards
         sa = np.concatenate([states, actions], axis=1)
-        q = self.critic.forward(sa)
+        q, cache = self.critic.forward_cached(sa)
         td_error = q - target
         loss = float(np.mean(td_error**2))
         upstream = 2.0 * td_error / td_error.shape[0]
-        grad_w, grad_b, _ = self.critic.backward(sa, upstream)
+        grad_w, grad_b, _ = self.critic.backward(sa, upstream, cache=cache)
         self.critic_opt.step(grad_w + grad_b)
 
         # ---- actor update: ascend Q(s, mu(s)) with inverting gradients.
-        mu_raw = self.actor.forward(states)
+        mu_raw, actor_cache = self.actor.forward_cached(states)
         mu = np.clip(mu_raw, 0.0, 1.0)
         sa_mu = np.concatenate([states, mu], axis=1)
-        if self._effective_tracer().enabled:
-            # The actor's objective is not a by-product of the inverting-
-            # gradient update, so derive it with one extra stateless
-            # forward pass — telemetry only, nothing feeds back.
-            self._last_actor_objective = -float(
-                np.mean(self.critic.forward(sa_mu))
-            )
+        q_mu, cache = self.critic.forward_cached(sa_mu)
+        # Q(s, mu(s)) is already in hand for the input gradient — record
+        # the actor objective for the rl.actor_loss stream at no extra
+        # compute.
+        self._last_actor_objective = -float(np.mean(q_mu))
         ones = np.ones((states.shape[0], 1)) / states.shape[0]
-        _, _, dq_dsa = self.critic.backward(sa_mu, ones)
+        _, _, dq_dsa = self.critic.backward(
+            sa_mu, ones, cache=cache, params=False
+        )
         dq_da = dq_dsa[:, -1:]
         # Scale upward pushes by the headroom to 1 and downward pushes by
         # the headroom to 0, computed on the *raw* (unclipped) output:
@@ -232,7 +232,9 @@ class DDPGAgent:
         # the policy back in.
         headroom = np.where(dq_da > 0, 1.0 - mu_raw, mu_raw)
         dq_da = dq_da * np.clip(headroom, -1.0, 1.0)
-        a_grad_w, a_grad_b, _ = self.actor.backward(states, -dq_da)
+        a_grad_w, a_grad_b, _ = self.actor.backward(
+            states, -dq_da, cache=actor_cache
+        )
         self.actor_opt.step(a_grad_w + a_grad_b)
 
         # ---- soft target updates.

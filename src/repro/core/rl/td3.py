@@ -95,31 +95,35 @@ class TD3Agent(DDPGAgent):
             (self.critic, self.critic_opt),
             (self.critic2, self.critic2_opt),
         ):
-            q = critic.forward(sa)
+            q, cache = critic.forward_cached(sa)
             td = q - target
             losses.append(float(np.mean(td**2)))
-            gw, gb, _ = critic.backward(sa, 2.0 * td / td.shape[0])
+            gw, gb, _ = critic.backward(sa, 2.0 * td / td.shape[0], cache=cache)
             opt.step(gw + gb)
 
         self._update_count += 1
         if self._update_count % cfg.policy_delay == 0:
             # Actor ascends min(Q1, Q2)(s, mu(s)) with inverting gradients.
-            mu_raw = self.actor.forward(states)
+            mu_raw, actor_cache = self.actor.forward_cached(states)
             mu = np.clip(mu_raw, 0.0, 1.0)
             sa_mu = np.concatenate([states, mu], axis=1)
-            q1 = self.critic.forward(sa_mu)
-            q2 = self.critic2.forward(sa_mu)
+            q1, cache1 = self.critic.forward_cached(sa_mu)
+            q2, cache2 = self.critic2.forward_cached(sa_mu)
             # min(Q1, Q2) is already in hand — record the actor objective
             # for the rl.actor_loss stream at no extra compute.
             self._last_actor_objective = -float(np.mean(np.minimum(q1, q2)))
             use_first = q1 <= q2
             ones = np.ones((states.shape[0], 1)) / states.shape[0]
-            _, _, d1 = self.critic.backward(sa_mu, ones)
-            _, _, d2 = self.critic2.backward(sa_mu, ones)
+            _, _, d1 = self.critic.backward(
+                sa_mu, ones, cache=cache1, params=False
+            )
+            _, _, d2 = self.critic2.backward(
+                sa_mu, ones, cache=cache2, params=False
+            )
             dq_da = np.where(use_first, d1[:, -1:], d2[:, -1:])
             headroom = np.where(dq_da > 0, 1.0 - mu_raw, mu_raw)
             dq_da = dq_da * np.clip(headroom, -1.0, 1.0)
-            gw, gb, _ = self.actor.backward(states, -dq_da)
+            gw, gb, _ = self.actor.backward(states, -dq_da, cache=actor_cache)
             self.actor_opt.step(gw + gb)
 
             self.actor_target.soft_update_from(self.actor, cfg.tau)

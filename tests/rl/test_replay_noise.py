@@ -1,5 +1,7 @@
 """Tests for the experience pool and exploration noise."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -29,7 +31,10 @@ class TestExperiencePool:
         pool.extend(make_transition(i) for i in range(5))
         assert len(pool) == 3
         assert pool.full
-        states = {int(t.state[0]) for t in pool._buffer}
+        # Enough uniform draws to see every stored row (the sampling RNG
+        # is seeded, so this is deterministic).
+        stored, _, _, _, _ = pool.sample(64)
+        states = {int(s) for s in stored[:, 0]}
         assert states == {2, 3, 4}
 
     def test_sample_shapes(self):
@@ -64,6 +69,49 @@ class TestExperiencePool:
         sa = a.sample(5)
         sb = b.sample(5)
         assert np.array_equal(sa[0], sb[0])
+
+    def test_sample_returns_stored_rows(self):
+        pool = ExperiencePool(8, seed=1)
+        pool.extend(make_transition(i, reward=10.0 * i, done=(i == 2)) for i in range(3))
+        s, ns, a, r, d = pool.sample(16)
+        i = s[:, 0]
+        assert np.array_equal(ns[:, 0], i + 1)
+        assert np.array_equal(a[:, 0], i / 10.0)
+        assert np.array_equal(r[:, 0], 10.0 * i)
+        assert np.array_equal(d[:, 0], (i == 2).astype(float))
+
+    @pytest.mark.parametrize("field", ["state", "next_state"])
+    def test_rejects_state_shape_mismatch(self, field):
+        pool = ExperiencePool(4)
+        pool.add(make_transition(0))
+        bad = replace(make_transition(1), **{field: np.zeros(5)})
+        with pytest.raises(ValueError, match=field):
+            pool.add(bad)
+        assert len(pool) == 1
+
+    def test_rejected_add_leaves_full_pool_intact(self):
+        pool = ExperiencePool(2)
+        pool.extend(make_transition(i) for i in range(2))
+        with pytest.raises(ValueError, match="reward"):
+            pool.add(replace(make_transition(7), reward=float("nan")))
+        s, _, _, r, _ = pool.sample(32)
+        assert {int(x) for x in s[:, 0]} == {0, 1}
+        assert np.all(np.isfinite(r))
+
+    def test_rejects_non_1d_first_state(self):
+        pool = ExperiencePool(4)
+        with pytest.raises(ValueError, match="state"):
+            pool.add(replace(make_transition(0), state=np.zeros((2, 2))))
+        assert len(pool) == 0
+
+    @pytest.mark.parametrize("field", ["action", "reward", "done"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -np.inf, None])
+    def test_rejects_non_finite_scalars(self, field, value):
+        pool = ExperiencePool(4)
+        pool.add(make_transition(0))
+        with pytest.raises(ValueError, match=field):
+            pool.add(replace(make_transition(1), **{field: value}))
+        assert len(pool) == 1
 
     def test_done_flag_roundtrip(self):
         pool = ExperiencePool(2)
