@@ -57,7 +57,13 @@ class SearchResult:
 
     @property
     def simulator_fraction(self) -> float:
-        """Share of search time spent on simulator feedback (§4.5: ~97%)."""
+        """Share of search time spent on simulator feedback.
+
+        §4.5 reports ~97% on MNSIM.  This reproduction's analytic
+        simulator is far cheaper: perfbench's traced search-vgg16 run
+        puts ``sim.evaluate`` at ~1% of a VGG16 search and the DDPG
+        learner at ~90% (docs/performance.md, "Learner hot path").
+        """
         total = self.total_seconds
         return self.simulator_seconds / total if total else 0.0
 
