@@ -68,8 +68,6 @@ __all__ = [
     "lint_tree",
     "analyze_cache_safety",
     "analyze_memoized",
-    "analyze_concurrency",
-    "analyze_concurrency_tree",
     "analyze_numeric",
     "numeric_findings",
     "analyze_kernel_parity",
@@ -95,9 +93,6 @@ _CHECKER_NAMES = frozenset(
 _LINT_NAMES = frozenset({"lint_source", "lint_tree", "lint_path"})
 _DATAFLOW_NAMES = frozenset(
     {"analyze_cache_safety", "analyze_memoized", "simulator_contract"}
-)
-_CONCURRENCY_NAMES = frozenset(
-    {"analyze_concurrency", "analyze_concurrency_tree", "concurrency_contract"}
 )
 _NUMERIC_NAMES = frozenset({"analyze_numeric", "numeric_findings"})
 _KERNEL_PARITY_NAMES = frozenset(
@@ -126,10 +121,6 @@ def __getattr__(name: str) -> Any:
         from . import dataflow
 
         return getattr(dataflow, name)
-    if name in _CONCURRENCY_NAMES:
-        from . import concurrency
-
-        return getattr(concurrency, name)
     if name in _NUMERIC_NAMES:
         from . import numeric
 

@@ -126,8 +126,8 @@ class ModuleInfo:
     is_package: bool
     node: ast.Module
     #: the raw source text — kept so comment-borne contracts (the
-    #: ``# guarded-by:`` / ``# holds-lock:`` markers the concurrency
-    #: analyzer reads) can be recovered; comments never reach the AST
+    #: ``# unit-ok:`` waivers the units analyzer reads) can be
+    #: recovered; comments never reach the AST
     source: str = ""
     functions: dict[str, FunctionInfo] = field(default_factory=dict)
     classes: dict[str, ClassInfo] = field(default_factory=dict)

@@ -63,17 +63,9 @@ from .invariants import CAC001, CAC002, CAC003, PUR001, PUR002, Diagnostic
 
 @dataclass(frozen=True)
 class Instance:
-    """An instance of an indexed class.
-
-    ``shared`` is escape provenance used by the concurrency analyzer:
-    instances that flow into a worker from outside (parameters, closures,
-    module globals, attributes of shared objects) are shared; instances a
-    worker constructs itself are fresh (``shared=False``) and cannot race.
-    The cache-safety rules ignore the flag.
-    """
+    """An instance of an indexed class."""
 
     cls: ClassInfo
-    shared: bool = True
 
 
 @dataclass(frozen=True)
@@ -476,9 +468,9 @@ class _Analyzer:
             self._active.discard(key)
 
     def _memo_key(self, func: FunctionInfo, bindings: Mapping[str, Value]) -> object:
-        """Memo key for one function analysis; subclasses fold extra
-        context (held locks, worker kind) in so findings that depend on
-        it are not skipped by a stale memo hit."""
+        """Memo key for one function analysis: the function plus its
+        argument bindings, so a call analysed under different argument
+        types is not skipped by a stale memo hit."""
         return (func, tuple(sorted((k, v) for k, v in bindings.items())))
 
     def _bind_missing_params(self, func: FunctionInfo, env: _Env) -> None:

@@ -282,44 +282,6 @@ PUR002 = _r(
     "The memoized evaluation writes module-level state, so results depend "
     "on call history that the cache key cannot express.",
 )
-CON001 = _r(
-    "CON001", "unguarded shared write in a thread worker", Severity.ERROR,
-    "threading contract",
-    "Code reachable from a thread-pool worker writes a shared mutable "
-    "attribute that declares no `# guarded-by:` lock — concurrent workers "
-    "can interleave the write and lose updates.",
-)
-CON002 = _r(
-    "CON002", "module-global mutation reachable from a worker", Severity.ERROR,
-    "threading contract",
-    "A worker mutates module-level state (a `global` rebinding or a "
-    "module-level container); thread workers race on it, and process "
-    "workers silently mutate a copy that is thrown away.",
-)
-CON003 = _r(
-    "CON003", "non-picklable state shipped across a process boundary", Severity.ERROR,
-    "threading contract",
-    "A process-pool worker captures a tracer, lock, open file, or other "
-    "non-picklable object (or the callable itself is a closure/lambda) — "
-    "the fan-out either crashes at pickle time or duplicates live I/O "
-    "state into children.",
-)
-CON004 = _r(
-    "CON004", "shared RNG used in a thread worker", Severity.ERROR,
-    "threading contract",
-    "A thread worker draws from the shared module-level RNG "
-    "(`random.random`, `numpy.random.rand`, ...), so results depend on "
-    "thread scheduling; construct a per-worker `random.Random(seed)` / "
-    "`numpy.random.default_rng(seed)` instead.",
-)
-CON005 = _r(
-    "CON005", "guarded attribute written outside its lock", Severity.ERROR,
-    "threading contract",
-    "An attribute declared `# guarded-by: <lock>` is written at a site "
-    "not dominated by `with self.<lock>:` (and the enclosing method does "
-    "not declare `# holds-lock: <lock>`), so the declared discipline is "
-    "broken.",
-)
 LNT008 = _r(
     "LNT008", "no literal dtype casts in kernel hot loops", Severity.ERROR,
     "repo rule",

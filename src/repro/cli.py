@@ -109,6 +109,17 @@ def _run_all(args) -> None:
     print(summarize_suite(doc))
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -122,12 +133,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--seed", type=int, default=0)
     p_search.add_argument(
         "--seeds", default=None, metavar="LIST",
-        help="comma-separated RL seeds for a multi-seed search sharing one "
-             "evaluation cache, e.g. '0,1,2' (overrides --seed)",
+        help="comma-separated RL seeds for a multi-seed search, e.g. "
+             "'0,1,2' (overrides --seed); serial seeds share one "
+             "evaluation cache",
     )
     p_search.add_argument(
-        "--workers", type=int, default=None,
-        help="thread-pool size for the multi-seed fan-out (with --seeds)",
+        "--workers", type=_positive_int, default=None, metavar="N",
+        help="run the --seeds search one process per seed, at most N "
+             "processes at a time (not with --trace)",
     )
     p_search.add_argument(
         "--no-tile-shared", action="store_true",
@@ -228,12 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache-safety", action="store_true",
         help="run the interprocedural cache-key soundness / purity "
         "analysis over the memoized simulator call graph (CAC/PUR rules)",
-    )
-    p_check.add_argument(
-        "--concurrency", action="store_true",
-        help="run the static race detector over the worker fan-out call "
-        "graph (CON rules: shared writes, globals, pickling, RNG, "
-        "lock discipline)",
     )
     p_check.add_argument(
         "--numeric", action="store_true",
@@ -370,7 +377,6 @@ def cmd_check(args: argparse.Namespace) -> int:
     report = Report()
     targeted = (
         args.cache_safety
-        or args.concurrency
         or args.numeric
         or args.kernel_parity
         or args.units
@@ -456,13 +462,6 @@ def cmd_check(args: argparse.Namespace) -> int:
         analysis_root = Path(args.source) if args.source else None
         say("checking cache-key soundness of the memoized simulator")
         report.extend(analyze_cache_safety(analysis_root))
-
-    if args.concurrency or not targeted:
-        from .analysis.concurrency import analyze_concurrency
-
-        analysis_root = Path(args.source) if args.source else None
-        say("checking concurrency safety of the worker fan-out paths")
-        report.extend(analyze_concurrency(analysis_root))
 
     if args.numeric or not targeted:
         from .analysis.numeric import analyze_numeric
@@ -831,8 +830,14 @@ def cmd_models(_: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "search":
+        if args.workers is not None and args.workers > 1 and args.trace:
+            parser.error(
+                "search: --workers N>1 runs seeds in worker processes, "
+                "which cannot write the --trace file; drop one of them"
+            )
         return cmd_search(args)
     if args.command == "baselines":
         return cmd_baselines(args)

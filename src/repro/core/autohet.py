@@ -11,15 +11,15 @@ strategy seen becomes the final configuration.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 from ..arch.config import CrossbarShape, DEFAULT_CANDIDATES
 from ..models.graph import Network
 from ..obs import metrics as obs_metrics
 from ..obs.log import get_logger
-from ..obs.trace import Tracer
-from ..sim.cache import CacheStats
+from ..obs.trace import NULL_TRACER, Tracer, current_tracer
+from ..sim.cache import CacheStats, EvaluationCache
 from ..sim.metrics import SystemMetrics
 from ..sim.simulator import CapacityError, Simulator, Strategy
 from .rl.ddpg import DDPGAgent, DDPGConfig
@@ -281,11 +281,18 @@ def autohet_multi_seed(
 ) -> tuple[SearchResult, tuple[SearchResult, ...]]:
     """Run :func:`autohet_search` under several RL seeds; keep the best.
 
-    All runs share one simulator — and therefore one evaluation cache, so
-    seeds re-pay each other's homogeneous probes and revisited strategies.
-    With ``max_workers`` > 1 the runs fan out over a thread pool (the
-    cache is thread-safe; the numpy-based agents release no work to the
-    GIL, so speed-ups are modest — the cache sharing is the main win).
+    Serially (the default), all runs share one simulator — and therefore
+    one evaluation cache, so seeds re-pay each other's homogeneous probes
+    and revisited strategies.  With ``max_workers`` > 1 the seeds run one
+    process per seed instead (``spawn`` workers, so a calling script
+    needs an ``if __name__ == "__main__":`` guard): each child gets a
+    copy of the simulator with no tracer and, if the parent had a cache,
+    a fresh cache of the same size and audit interval.  Per-seed results
+    are identical to the serial run's; only ``cache_stats`` and the
+    timing fields differ.
+    Worker processes cannot write to the parent's tracer, so
+    ``max_workers`` > 1 rejects ``tracer=`` and an enabled ambient or
+    simulator tracer.
 
     Returns ``(best, per_seed_results)``; ``per_seed_results`` is ordered
     like ``seeds``.
@@ -293,11 +300,70 @@ def autohet_multi_seed(
     if not seeds:
         raise ValueError("need at least one seed")
     sim = simulator if simulator is not None else Simulator()
-    # Every seed's environment reset probes the |C| uniform strategies
-    # (``detailed=False``, matching the environment's keying); scoring
-    # them once as a kernel batch pre-warms the shared cache so each run
-    # — and each worker thread — starts on hits instead of racing to
-    # evaluate the same probes.
+    if max_workers is not None and max_workers > 1 and len(seeds) > 1:
+        if (
+            tracer is not None
+            or current_tracer().enabled
+            or sim.effective_tracer.enabled
+        ):
+            raise ValueError(
+                "autohet_multi_seed: max_workers > 1 runs seeds in worker "
+                "processes, which cannot write to a tracer; pass "
+                "max_workers=1 or drop tracer= (and any enabled ambient "
+                "or simulator tracer)"
+            )
+        worker = replace(sim, cache=None, tracer=NULL_TRACER)
+        cache_shape = (
+            None
+            if sim.cache is None
+            else (sim.cache.max_size, sim.cache.audit_interval)
+        )
+        jobs = [
+            (network, tuple(candidates), rounds, tile_shared, worker,
+             cache_shape, seed, verbose)
+            for seed in seeds
+        ]
+        import concurrent.futures
+        import multiprocessing
+
+        # spawn, not fork: forking a process that may hold threads (BLAS,
+        # a caller's own) can deadlock the child.
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=min(max_workers, len(seeds)),
+            mp_context=multiprocessing.get_context("spawn"),
+        ) as pool:
+            results = tuple(pool.map(_search_one_seed, jobs))
+    else:
+        _prewarm(sim, network, candidates, tile_shared)
+        results = tuple(
+            autohet_search(
+                network,
+                candidates,
+                rounds=rounds,
+                tile_shared=tile_shared,
+                simulator=sim,
+                seed=seed,
+                verbose=verbose,
+                tracer=tracer,
+            )
+            for seed in seeds
+        )
+    best = max(results, key=lambda r: r.best_metrics.reward)
+    return best, results
+
+
+def _prewarm(
+    sim: Simulator,
+    network: Network,
+    candidates: Sequence[CrossbarShape],
+    tile_shared: bool,
+) -> None:
+    """Score the |C| uniform strategies once as a kernel batch.
+
+    Every seed's environment reset probes them (``detailed=False``,
+    matching the environment's keying); pre-warming the cache makes each
+    run start on hits.
+    """
     if sim.cache is not None:
         sim.evaluate_many(
             network,
@@ -309,26 +375,24 @@ def autohet_multi_seed(
             detailed=False,
         )
 
-    def run(seed: int) -> SearchResult:
-        return autohet_search(
-            network,
-            candidates,
-            rounds=rounds,
-            tile_shared=tile_shared,
-            simulator=sim,
-            seed=seed,
-            verbose=verbose,
-            tracer=tracer,
+
+def _search_one_seed(job) -> SearchResult:
+    """Worker-process body of :func:`autohet_multi_seed`: one seed's search
+    on a shipped cache-less simulator, with a fresh cache attached here."""
+    network, candidates, rounds, tile_shared, sim, cache_shape, seed, verbose = job
+    if cache_shape is not None:
+        max_size, audit_interval = cache_shape
+        sim = replace(
+            sim,
+            cache=EvaluationCache(max_size=max_size, audit_interval=audit_interval),
         )
-
-    if max_workers is not None and max_workers > 1 and len(seeds) > 1:
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(
-            max_workers=max_workers
-        ) as pool:
-            results = tuple(pool.map(run, seeds))
-    else:
-        results = tuple(run(seed) for seed in seeds)
-    best = max(results, key=lambda r: r.best_metrics.reward)
-    return best, results
+    _prewarm(sim, network, candidates, tile_shared)
+    return autohet_search(
+        network,
+        candidates,
+        rounds=rounds,
+        tile_shared=tile_shared,
+        simulator=sim,
+        seed=seed,
+        verbose=verbose,
+    )

@@ -19,12 +19,28 @@ Rates are requests per second (``rate_rps``).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
 
 from ..arch.config import CrossbarShape
 from ..sim.units_constants import NS_PER_S
+
+
+def _check_number(
+    where: str, name: str, value: float, *, positive: bool = False
+) -> None:
+    """Reject NaN, inf and negative (or, if ``positive``, zero) values.
+
+    ``nan < 0`` and ``nan <= 0`` are both False, so a plain sign check
+    lets NaN through — a NaN SLO would silently report 0.0 attainment.
+    """
+    if not math.isfinite(value):
+        raise ValueError(f"{where}{name} must be finite, got {value!r}")
+    if value < 0 or (positive and value == 0):
+        bound = "positive" if positive else "non-negative"
+        raise ValueError(f"{where}{name} must be {bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -35,10 +51,8 @@ class ArrivalPhase:
     rate_rps: float   #: mean arrivals per second from ``at_ns`` on
 
     def __post_init__(self) -> None:
-        if self.at_ns < 0:
-            raise ValueError("phase start must be non-negative")
-        if self.rate_rps < 0:
-            raise ValueError("arrival rate must be non-negative")
+        _check_number("phase ", "at_ns", self.at_ns)
+        _check_number("phase ", "rate_rps", self.rate_rps)
 
 
 @dataclass(frozen=True)
@@ -64,10 +78,11 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tenant name must be non-empty")
-        if self.rate_rps < 0:
-            raise ValueError("arrival rate must be non-negative")
-        if self.slo_ns <= 0:
-            raise ValueError("slo_ns must be positive")
+        where = f"{self.name}: "
+        _check_number(where, "rate_rps", self.rate_rps)
+        _check_number(where, "slo_ns", self.slo_ns, positive=True)
+        for t in self.trace_ns:
+            _check_number(where, "trace_ns entry", t)
         if list(self.trace_ns) != sorted(self.trace_ns):
             raise ValueError(f"{self.name}: trace_ns must be sorted")
         starts = [p.at_ns for p in self.phases]
@@ -127,8 +142,7 @@ class Scenario:
     def __post_init__(self) -> None:
         if not self.tenants:
             raise ValueError("scenario needs at least one tenant")
-        if self.duration_ns <= 0:
-            raise ValueError("duration_ns must be positive")
+        _check_number("", "duration_ns", self.duration_ns, positive=True)
         if self.max_batch < 1:
             raise ValueError("max_batch must be positive")
         if self.queue_cap < 0:

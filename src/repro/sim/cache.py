@@ -16,8 +16,8 @@ results can be memoised outright:
 * process-stable content fingerprints for :class:`HardwareConfig` and
   :class:`Network` (blake2b over a canonical field tuple), so cache keys
   survive object identity churn *and* are comparable across interpreter
-  runs and ``evaluate_many(mode="process")`` workers regardless of
-  ``PYTHONHASHSEED``.
+  runs and worker processes (``autohet_multi_seed(max_workers=N)``)
+  regardless of ``PYTHONHASHSEED``.
 
 The fingerprint coverage is a checked contract, not a convention:
 :data:`FINGERPRINTED_FIELDS` declares exactly which fields each key
@@ -202,10 +202,10 @@ class _Infeasible:
 class EvaluationCache:
     """Bounded LRU cache over pure simulator evaluations.
 
-    Thread-safe: :meth:`get` / :meth:`put` hold an internal lock, so one
-    cache can back :meth:`Simulator.evaluate_many
-    <repro.sim.simulator.Simulator.evaluate_many>`'s thread pool or a
-    multi-seed search fan-out.  Values are immutable
+    Thread-safe: :meth:`get` / :meth:`put` / :meth:`stats` hold an
+    internal lock, so user code may share one cache between threads (two
+    threads missing the same key concurrently both evaluate it; the
+    second insert refreshes an equal value).  Values are immutable
     (:class:`~repro.sim.metrics.SystemMetrics` is frozen), so cached
     objects are shared, never copied.
 
@@ -224,20 +224,17 @@ class EvaluationCache:
             raise ValueError("max_size must be positive")
         if audit_interval < 0:
             raise ValueError("audit_interval must be >= 0 (0 disables audits)")
-        self.max_size = max_size              # guarded-by: init-only
-        self.audit_interval = audit_interval  # guarded-by: init-only
-        self._entries: OrderedDict[CacheKey, object] = OrderedDict()  # guarded-by: _lock
+        self.max_size = max_size
+        self.audit_interval = audit_interval
+        self._entries: OrderedDict[CacheKey, object] = OrderedDict()
         self._lock = threading.Lock()
-        self._hits = 0                        # guarded-by: _lock
-        self._misses = 0                      # guarded-by: _lock
-        self._evictions = 0                   # guarded-by: _lock
-        self._audit_clock = 0                 # guarded-by: _lock
-        self._audited = 0                     # guarded-by: _lock
-        self._audit_failures = 0              # guarded-by: _lock
-        self._audit_findings: list[Diagnostic] = []  # guarded-by: _lock
-        #: single-flight claims: key -> event set when the claimant is
-        #: done (entry inserted, or computation failed).
-        self._inflight: dict[CacheKey, threading.Event] = {}  # guarded-by: _lock
+        self._hits = 0
+        self._misses = 0
+        self._evictions = 0
+        self._audit_clock = 0
+        self._audited = 0
+        self._audit_failures = 0
+        self._audit_findings: list[Diagnostic] = []
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -267,56 +264,6 @@ class EvaluationCache:
         )
 
     # ------------------------------------------------------------------
-    def claim(self, key: CacheKey) -> tuple[str, object]:
-        """Single-flight lookup: hit, wait on the computing thread, or claim.
-
-        Returns one of::
-
-            ("hit", value)    # cached entry (counted as a hit)
-            ("wait", event)   # another thread holds the claim — wait on
-                              # the event, then call claim() again
-            ("claimed", None) # counted as a miss; the caller now OWNS the
-                              # claim and MUST call release(key) when done
-                              # (after put() on success)
-
-        A "wait" outcome is not counted at all: the logical lookup
-        resolves on the retry, as a hit once the claimant has inserted
-        the entry (or as a fresh miss if the claimant failed without
-        inserting).  This is what keeps the counter contract exact under
-        thread contention — one miss and one evaluation per distinct cold
-        key, duplicates resolving to hits — where a plain get/compute/put
-        sequence would double-evaluate whenever two threads miss the same
-        key concurrently (the NumPy kernels release the GIL, making that
-        interleaving routine; the pure-Python scalar path only dodged it
-        because its compute fits inside one GIL switch interval).
-        """
-        with self._lock:
-            try:
-                value = self._entries[key]
-            except KeyError:
-                pass
-            else:
-                self._entries.move_to_end(key)
-                self._hits += 1
-                return ("hit", value)
-            event = self._inflight.get(key)
-            if event is not None:
-                return ("wait", event)
-            self._misses += 1
-            self._inflight[key] = threading.Event()
-            return ("claimed", None)
-
-    def release(self, key: CacheKey) -> None:
-        """Drop a claim taken via :meth:`claim` and wake every waiter.
-
-        Idempotent; call after :meth:`put` on success so waiters observe
-        the entry, and on *any* failure path so they can re-claim.
-        """
-        with self._lock:
-            event = self._inflight.pop(key, None)
-        if event is not None:
-            event.set()
-
     def get(self, key: CacheKey) -> object | None:
         """The cached value, or ``None`` on a miss (counts either way)."""
         with self._lock:

@@ -20,8 +20,8 @@ waiting on feedback).  Three layers attack that, all on by default:
   aggregate allocation summary (``repro.core.allocation.summary``) below
   it, shared across all strategies that agree on a layer's shape or a
   tile group's composition;
-* :meth:`Simulator.evaluate_many`, a fan-out front-end with an optional
-  thread or process pool for batch evaluation.
+* :meth:`Simulator.evaluate_many`, which scores a whole batch of
+  strategies in one pass of the ``(S, L)`` NumPy kernels.
 
 ``Simulator(cache=None, memoize_costs=False)`` restores the cold
 reference path; results are bit-for-bit identical either way (tested
@@ -31,7 +31,7 @@ property-style in ``tests/sim/test_cache.py``).  See
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from ..arch.config import DEFAULT_CONFIG, CrossbarShape, HardwareConfig
@@ -205,7 +205,6 @@ class Simulator:
         if tracer is None:
             tracer = obs_trace._AMBIENT
         key = None
-        claimed = False
         if self.cache is not None:
             key = EvaluationCache.make_key(
                 self.config,
@@ -215,18 +214,7 @@ class Simulator:
                 detailed=detailed,
                 enforce_capacity=self.enforce_capacity,
             )
-            # Single-flight protocol: a concurrent thread already
-            # evaluating this key parks us on its event; we then re-claim
-            # and (normally) take the hit path.  A "claimed" outcome makes
-            # this thread the one evaluator for the key — release() in
-            # every exit path below.
-            while True:
-                outcome, payload = self.cache.claim(key)
-                if outcome != "wait":
-                    break
-                payload.wait()
-            hit = payload if outcome == "hit" else None
-            claimed = outcome == "claimed"
+            hit = self.cache.get(key)
             if isinstance(hit, _Infeasible):
                 if tracer.enabled:
                     tracer.event(
@@ -273,19 +261,11 @@ class Simulator:
                     network=network.name,
                     message=str(exc),
                 )
-            if claimed and self.cache is not None:
+            if self.cache is not None:
                 self.cache.put(key, _Infeasible(str(exc)))
-                self.cache.release(key)
             raise
-        except BaseException:
-            # Unexpected failure: surrender the claim without inserting
-            # so parked waiters re-claim and evaluate for themselves.
-            if claimed and self.cache is not None:
-                self.cache.release(key)
-            raise
-        if claimed and self.cache is not None:
+        if self.cache is not None:
             self.cache.put(key, metrics)
-            self.cache.release(key)
         if tracer.enabled:
             obs_metrics.emit_system_metrics(tracer, metrics, network=network.name)
         return metrics
@@ -482,30 +462,21 @@ class Simulator:
         *,
         tile_shared: bool = True,
         detailed: bool = False,
-        max_workers: int | None = None,
-        executor: str = "thread",
         skip_infeasible: bool = True,
     ) -> list[SystemMetrics | None]:
-        """Evaluate a batch of strategies, optionally in parallel.
+        """Evaluate a batch of strategies.
 
         Returns one entry per strategy, in order; infeasible strategies
         yield ``None`` when ``skip_infeasible`` is set (default) and raise
-        :class:`CapacityError` otherwise.  ``max_workers`` > 1 fans out
-        over a pool: ``executor="thread"`` shares this simulator (and its
-        cache) across threads; ``executor="process"`` ships a cache-less
-        copy to worker processes and merges results back into the local
-        cache — worth it only when single evaluations are expensive.
+        :class:`CapacityError` otherwise.
         """
         batch = [tuple(s) for s in strategies]
-        if executor not in ("thread", "process"):
-            raise ValueError(f"unknown executor {executor!r}")
-
         tracer = self.tracer
         if tracer is None:
             tracer = obs_trace._AMBIENT
-        # Serial batches take the (S, L) kernel scorer when nothing needs
-        # the per-call evaluate machinery: no tracer events to interleave,
-        # no audit sampling to replay, and infeasible entries collapse to
+        # Batches take the (S, L) kernel scorer when nothing needs the
+        # per-call evaluate machinery: no tracer events to interleave, no
+        # audit sampling to replay, and infeasible entries collapse to
         # ``None`` (``skip_infeasible``).  Anything else falls through to
         # the loop below — results are bit-identical either way.
         if (
@@ -513,75 +484,23 @@ class Simulator:
             and self.memoize_costs
             and skip_infeasible
             and len(batch) > 1
-            and (max_workers is None or max_workers <= 1)
             and not tracer.enabled
             and (self.cache is None or self.cache.audit_interval <= 0)
         ):
             return self._evaluate_many_batched(
                 network, batch, tile_shared=tile_shared, detailed=detailed
             )
-
-        def one(strategy: Strategy) -> SystemMetrics | None:
-            if skip_infeasible:
-                return self.try_evaluate(
-                    network, strategy, tile_shared=tile_shared, detailed=detailed
-                )
-            return self.evaluate(
-                network, strategy, tile_shared=tile_shared, detailed=detailed
-            )
-
-        if max_workers is None or max_workers <= 1 or len(batch) <= 1:
-            return [one(s) for s in batch]
-
-        if executor == "process":
-            import concurrent.futures
-
-            # Worker processes neither cache nor trace: live tracers hold
-            # thread-locals and open files, so they must not cross the
-            # pickle boundary.
-            worker = replace(self, cache=None, tracer=NULL_TRACER)
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=max_workers
-            ) as pool:
-                outcomes = list(
-                    pool.map(
-                        _evaluate_one_remote,
-                        (
-                            (worker, network, s, tile_shared, detailed, skip_infeasible)
-                            for s in batch
-                        ),
-                        chunksize=max(1, len(batch) // (4 * max_workers)),
-                    )
-                )
-            # Merge *every* outcome back: metrics and `_Infeasible`
-            # sentinels alike.  An infeasible strategy crossing the pickle
-            # boundary comes back as the sentinel (carrying the
-            # CapacityError message) so subsequent lookups hit the cache
-            # instead of re-paying the failed allocation.
-            if self.cache is not None:
-                for strategy, outcome in zip(batch, outcomes):
-                    if outcome is None:
-                        continue
-                    self.cache.put(
-                        EvaluationCache.make_key(
-                            self.config,
-                            network,
-                            strategy,
-                            tile_shared=tile_shared,
-                            detailed=detailed,
-                            enforce_capacity=self.enforce_capacity,
-                        ),
-                        outcome,
-                    )
+        if skip_infeasible:
             return [
-                None if isinstance(outcome, _Infeasible) else outcome
-                for outcome in outcomes
+                self.try_evaluate(
+                    network, s, tile_shared=tile_shared, detailed=detailed
+                )
+                for s in batch
             ]
-
-        import concurrent.futures
-
-        with concurrent.futures.ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(one, batch))
+        return [
+            self.evaluate(network, s, tile_shared=tile_shared, detailed=detailed)
+            for s in batch
+        ]
 
     def _evaluate_many_batched(
         self,
@@ -694,22 +613,3 @@ class Simulator:
     def cache_stats(self):
         """Snapshot of the attached cache's counters (``None`` if off)."""
         return self.cache.stats() if self.cache is not None else None
-
-
-def _evaluate_one_remote(args) -> SystemMetrics | _Infeasible:
-    """Process-pool worker: evaluate one strategy on a shipped simulator.
-
-    Infeasible strategies return the ``_Infeasible`` sentinel (picklable —
-    it carries only the ``CapacityError`` message) rather than ``None``,
-    so the parent can merge the verdict into its cache and later batches
-    hit instead of re-paying the failed allocation.
-    """
-    simulator, network, strategy, tile_shared, detailed, skip_infeasible = args
-    try:
-        return simulator.evaluate(
-            network, strategy, tile_shared=tile_shared, detailed=detailed
-        )
-    except CapacityError as exc:
-        if skip_infeasible:
-            return _Infeasible(str(exc))
-        raise

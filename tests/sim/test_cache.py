@@ -212,9 +212,6 @@ def test_evaluate_many_matches_serial_evaluate(lenet_net):
     serial = [reference_simulator().evaluate(lenet_net, s, detailed=False)
               for s in batch]
     assert Simulator().evaluate_many(lenet_net, batch) == serial
-    assert (
-        Simulator().evaluate_many(lenet_net, batch, max_workers=4) == serial
-    )
 
 
 def test_evaluate_many_skips_infeasible(lenet_net):
@@ -224,10 +221,3 @@ def test_evaluate_many_skips_infeasible(lenet_net):
     assert results == [None] * len(batch)
     with pytest.raises(CapacityError):
         Simulator(cfg).evaluate_many(lenet_net, batch, skip_infeasible=False)
-
-
-def test_evaluate_many_rejects_unknown_executor(lenet_net):
-    with pytest.raises(ValueError):
-        Simulator().evaluate_many(
-            lenet_net, strategies_for(lenet_net, 2), executor="fork"
-        )

@@ -1,13 +1,12 @@
 """Byte-identity of the infeasible verdict message across every path.
 
-An infeasible strategy surfaces in four ways: the scalar loop raises
+An infeasible strategy surfaces in three ways: the scalar loop raises
 :class:`~repro.sim.simulator.CapacityError`; the batch kernel returns
-:class:`~repro.sim.kernels.InfeasibleScore`; the batched ``evaluate_many``
-fast path caches an ``_Infeasible`` sentinel; and a process-pool worker
-ships an ``_Infeasible`` sentinel back for merge-in.  All four carry the
-same message *string*, and it must stay byte-identical — cached
-sentinels are shared between paths, so a reworded message on one path
-would surface from the cache on another.  ``repro check --kernel-parity``
+:class:`~repro.sim.kernels.InfeasibleScore`; and the batched
+``evaluate_many`` fast path caches an ``_Infeasible`` sentinel.  All
+three carry the same message *string*, and it must stay byte-identical —
+cached sentinels are shared between paths, so a reworded message on one
+path would surface from the cache on another.  ``repro check --kernel-parity``
 (PAR003) pins the two f-string formats statically; this is the runtime
 witness.
 """
@@ -20,11 +19,7 @@ from repro.arch.config import CrossbarShape, HardwareConfig
 from repro.models.zoo import lenet
 from repro.sim import kernels
 from repro.sim.cache import EvaluationCache, _Infeasible
-from repro.sim.simulator import (
-    CapacityError,
-    Simulator,
-    _evaluate_one_remote,
-)
+from repro.sim.simulator import CapacityError, Simulator
 
 #: one bank of one tile — any real workload overflows it
 TINY = HardwareConfig(tiles_per_bank=1)
@@ -59,34 +54,6 @@ class TestMessageByteIdentity:
         sim = Simulator(config=TINY, cache=cache)
         results = sim.evaluate_many(network, [strategy, strategy])
         assert results == [None, None]
-        key = EvaluationCache.make_key(
-            TINY, network, strategy,
-            tile_shared=True, detailed=False, enforce_capacity=True,
-        )
-        sentinel = cache.get(key)
-        assert isinstance(sentinel, _Infeasible)
-        assert sentinel.message == scalar_message(network, strategy)
-
-    def test_process_pool_sentinel_matches_scalar(self, case):
-        # The worker-side half of the merge-back protocol, called in
-        # process (the pickling round trip is tests/sim/test_process_pool's
-        # business; the message contract is this test's).
-        network, strategy = case
-        worker = Simulator(config=TINY, cache=None)
-        outcome = _evaluate_one_remote(
-            (worker, network, strategy, True, False, True)
-        )
-        assert isinstance(outcome, _Infeasible)
-        assert outcome.message == scalar_message(network, strategy)
-
-    def test_pool_merge_back_caches_scalar_message(self, case):
-        network, strategy = case
-        cache = EvaluationCache()
-        sim = Simulator(config=TINY, cache=cache)
-        results = sim.evaluate_many(
-            network, [strategy], max_workers=2, executor="process"
-        )
-        assert results == [None]
         key = EvaluationCache.make_key(
             TINY, network, strategy,
             tile_shared=True, detailed=False, enforce_capacity=True,

@@ -25,6 +25,25 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "fig99"])
 
+    @pytest.mark.parametrize("workers", ["0", "-2", "two"])
+    def test_search_rejects_bad_worker_count(self, workers, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["search", "lenet", "--workers", workers])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_search_rejects_workers_with_trace(self, capsys, tmp_path):
+        argv = [
+            "search", "lenet", "--rounds", "1", "--seeds", "0,1",
+            "--workers", "2", "--trace", str(tmp_path / "t.jsonl"),
+        ]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "--workers" in err and "--trace" in err
+        assert not (tmp_path / "t.jsonl").exists()
+
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve", "two-tenant"])
         assert args.scenario == "two-tenant"
@@ -66,6 +85,13 @@ class TestCommands:
         )
         out = capsys.readouterr().out
         assert "32x32" in out or "72x64" in out
+
+    def test_search_seeds_one_process_per_seed(self, capsys):
+        argv = ["search", "lenet", "--rounds", "2", "--seeds", "0,1"]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out.splitlines()[0]
+        assert main([*argv, "--workers", "2"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == serial
 
     def test_search_no_tile_shared(self, capsys):
         assert (
