@@ -6,7 +6,8 @@ Pins the two performance contracts of ``repro.sim.kernels``
 * a cold single-strategy evaluation (no evaluation-cache entry, warm
   shape tables — the search-loop steady state) completes in <= 100 us;
 * scoring a batch of strategies through ``evaluate_many``'s kernel path
-  beats the materialising reference loop by >= 10x end-to-end
+  beats the materialising reference loop,
+  ``Simulator(cache=None, reference=True)``, by >= 10x end-to-end
 
 while reproducing the reference results bit-for-bit, infeasible
 verdicts included.  ``REPRO_BENCH_MODEL`` selects the workload (default
@@ -21,6 +22,7 @@ from repro.bench import print_vectorized_profile, vectorized_kernel_profile
 def test_vectorized_kernels(benchmark):
     profile = run_once(benchmark, vectorized_kernel_profile)
     print_vectorized_profile(profile)
+    benchmark.extra_info["baseline"] = "Simulator(cache=None, reference=True)"
     benchmark.extra_info["model"] = profile.model
     benchmark.extra_info["strategies"] = profile.strategies
     benchmark.extra_info["cold_single_us"] = round(profile.cold_single_us, 1)

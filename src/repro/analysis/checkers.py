@@ -21,7 +21,12 @@ from __future__ import annotations
 import math
 from typing import Any, Iterable, Mapping, Sequence
 
-from ..arch.config import CrossbarShape, HardwareConfig
+from ..arch.config import (
+    COST_CONSTANT_FIELDS,
+    DEFAULT_CONFIG,
+    CrossbarShape,
+    HardwareConfig,
+)
 from ..arch.mapping import LayerMapping
 from ..models.graph import Network
 from ..models.layers import LayerType
@@ -43,6 +48,7 @@ from .invariants import (
     Diagnostic,
     adc_resolution_diagnostics,
     config_value_diagnostics,
+    cost_constant_diagnostics,
     shape_dim_diagnostics,
     shape_discipline_diagnostics,
 )
@@ -72,11 +78,11 @@ def check_candidate_set(shapes: Iterable[CrossbarShape]) -> list[Diagnostic]:
 def check_config(
     config: HardwareConfig, shapes: Sequence[CrossbarShape] = ()
 ) -> list[Diagnostic]:
-    """CFG001-CFG004 over a constructed config (plus candidate coverage).
+    """CFG001-CFG005 over a constructed config (plus candidate coverage).
 
-    A constructed :class:`HardwareConfig` already passed CFG001-CFG003 in
-    ``__post_init__`` (same implementations); re-running them here keeps
-    the checker total and costs microseconds.  CFG004 needs the candidate
+    A constructed :class:`HardwareConfig` already passed CFG001-CFG003 and
+    CFG005 in ``__post_init__`` (same implementations); re-running them
+    here keeps the checker total and costs microseconds.  CFG004 needs the candidate
     shapes, which only the caller knows.
     """
     out = config_value_diagnostics(
@@ -88,6 +94,11 @@ def check_config(
         pes_per_tile=config.pes_per_tile,
         tiles_per_bank=config.tiles_per_bank,
         adc_sharing=config.adc_sharing,
+    )
+    out.extend(
+        cost_constant_diagnostics(
+            {name: getattr(config, name) for name in COST_CONSTANT_FIELDS}
+        )
     )
     for shape in shapes:
         out.extend(
@@ -101,7 +112,7 @@ def check_config(
 def check_config_dict(
     data: Mapping[str, Any], shapes: Sequence[CrossbarShape] = ()
 ) -> list[Diagnostic]:
-    """CFG001-CFG004 over a serialized (possibly partial) config dict.
+    """CFG001-CFG005 over a serialized (possibly partial) config dict.
 
     The merged dict (dataclass defaults + file overrides) is checked
     structurally without ever constructing a :class:`HardwareConfig`, so
@@ -135,6 +146,14 @@ def check_config_dict(
                 )
             )
     out.extend(config_value_diagnostics(**merged))  # type: ignore[arg-type]
+    out.extend(
+        cost_constant_diagnostics(
+            {
+                name: data.get(name, getattr(DEFAULT_CONFIG, name))
+                for name in COST_CONSTANT_FIELDS
+            }
+        )
+    )
     for shape in shapes:
         out.extend(
             adc_resolution_diagnostics(

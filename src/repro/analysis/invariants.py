@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping
 
@@ -134,6 +135,13 @@ CFG004 = _r(
     "The ADC must resolve the largest bitline partial sum of the tallest "
     "candidate crossbar (the paper picks 10 bits 'to support all "
     "heterogeneous sizes').",
+)
+CFG005 = _r(
+    "CFG005", "finite non-negative cost constants", Severity.ERROR, "§4.1",
+    "Every float cost constant of a HardwareConfig (energy, leakage, "
+    "latency, area, idle-line fraction) must be a finite number >= 0, and "
+    "idle_line_energy_fraction at most 1; a negative or NaN constant "
+    "turns into negative or NaN energies with no other diagnostic.",
 )
 SHP001 = _r(
     "SHP001", "positive crossbar dimensions", Severity.ERROR, "Fig. 7",
@@ -595,6 +603,41 @@ def adc_resolution_diagnostics(
             )
         ]
     return []
+
+
+#: CFG005 upper bounds beyond the common ``>= 0`` floor, per field.
+COST_CONSTANT_UPPER_BOUNDS: Mapping[str, float] = {
+    "idle_line_energy_fraction": 1.0,
+}
+
+
+def cost_constant_diagnostics(
+    constants: Mapping[str, object], location: str = "HardwareConfig"
+) -> list[Diagnostic]:
+    """CFG005: every cost constant is a finite real number in range.
+
+    ``constants`` maps field name to value.  Bools and non-numbers are
+    rejected too, so a mistyped JSON value cannot slip through as ``1.0``.
+    """
+    out: list[Diagnostic] = []
+    for name, value in constants.items():
+        upper = COST_CONSTANT_UPPER_BOUNDS.get(name, math.inf)
+        if (
+            isinstance(value, numbers.Real)
+            and not isinstance(value, bool)
+            and math.isfinite(value)
+            and 0 <= value <= upper
+        ):
+            continue
+        bound = f"in [0, {upper:g}]" if math.isfinite(upper) else ">= 0"
+        out.append(
+            CFG005.diag(
+                location,
+                f"{name} must be a finite number {bound}, got {value!r}",
+                hint=f"set {name} to a finite number {bound}",
+            )
+        )
+    return out
 
 
 def shape_dim_diagnostics(rows: int, cols: int, location: str) -> list[Diagnostic]:

@@ -1,10 +1,12 @@
-"""Kernel parity analysis — the scalar cost path vs. the batch kernels.
+"""Kernel parity analysis — the reference cost path vs. the batch kernels.
 
-PR 7 forked the cost model: the scalar reference (``sim/energy.py`` /
-``sim/latency.py`` / ``sim/area.py`` / ``allocation/summary.py``, walked
-from :meth:`~repro.sim.simulator.Simulator.evaluate`) and the NumPy batch
-path in :mod:`repro.sim.kernels` must agree bit-for-bit.  Runtime parity
-tests sample that contract; this module proves its *input* half
+The simulator has two evaluation paths that must agree bit-for-bit: the
+materialised reference that ``Simulator(reference=True)`` runs (the
+scalar cost models in ``sim/energy.py`` / ``sim/latency.py`` /
+``sim/area.py`` over a full tile plan, walked from
+:meth:`~repro.sim.simulator.Simulator.evaluate`) and the default NumPy
+path in :mod:`repro.sim.kernels`.  Runtime parity tests sample that
+contract; this module proves its *input* half
 statically, the way :mod:`repro.analysis.dataflow` proves cache-key
 coverage: the dataflow interpreter extracts the attribute read-set of
 the scalar path, and the declared coverage tables

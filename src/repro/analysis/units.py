@@ -430,8 +430,8 @@ class _Checker:
                     self._infer(child, env)
 
     def _assign(self, node: ast.Assign, env: dict[str, tuple]) -> None:
-        # Elementwise tuple-assign keeps alias bindings precise:
-        # ``energy_fn, latency_fn = cached_..., cached_..._ns``.
+        # Elementwise tuple-assign keeps each binding precise:
+        # ``energy, latency_ns = e_nj, t_ns``.
         if (
             len(node.targets) == 1
             and isinstance(node.targets[0], ast.Tuple)

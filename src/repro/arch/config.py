@@ -37,6 +37,7 @@ from ..analysis.invariants import (
     InvariantViolation,
     adc_resolution_diagnostics,
     config_value_diagnostics,
+    cost_constant_diagnostics,
     shape_dim_diagnostics,
 )
 
@@ -215,10 +216,11 @@ class HardwareConfig:
     area_pe_overhead_um2: float = 1500.0
 
     def __post_init__(self) -> None:
-        # Construction-time validation reuses the CFG001-CFG003 rule
-        # implementations of repro.analysis.invariants verbatim; the
-        # static checker (`repro check --config`) runs the same functions
-        # over serialized dicts, so the two can never disagree.
+        # Construction-time validation reuses the CFG001-CFG003 and
+        # CFG005 rule implementations of repro.analysis.invariants
+        # verbatim; the static checker (`repro check --config`) runs the
+        # same functions over serialized dicts, so the two can never
+        # disagree.
         diags = config_value_diagnostics(
             weight_bits=self.weight_bits,
             input_bits=self.input_bits,
@@ -228,6 +230,11 @@ class HardwareConfig:
             pes_per_tile=self.pes_per_tile,
             tiles_per_bank=self.tiles_per_bank,
             adc_sharing=self.adc_sharing,
+        )
+        diags.extend(
+            cost_constant_diagnostics(
+                {name: getattr(self, name) for name in COST_CONSTANT_FIELDS}
+            )
         )
         if diags:
             raise InvariantViolation(diags, "HardwareConfig")
@@ -309,6 +316,12 @@ class HardwareConfig:
         """Return a copy with selected fields replaced."""
         return replace(self, **kwargs)
 
+
+#: Every float field of :class:`HardwareConfig` — the cost constants
+#: CFG005 holds to finite, non-negative values.
+COST_CONSTANT_FIELDS: tuple[str, ...] = tuple(
+    f.name for f in fields(HardwareConfig) if f.type == "float"
+)
 
 #: The paper's default platform (§4.1).
 DEFAULT_CONFIG = HardwareConfig()

@@ -539,14 +539,14 @@ def search_time_profile(
 ) -> SearchResult:
     """Run the VGG16 search and report the decision/simulator time split.
 
-    Defaults to the *uncached* reference simulator so the §4.5 claim —
-    simulator feedback dominates the search — stays reproducible.  Pass
-    ``cached=True`` for the production configuration (evaluation cache +
-    memoised costs); the result then carries non-``None``
+    Defaults to ``Simulator(cache=None, reference=True)`` so the §4.5
+    claim — simulator feedback dominates the search — stays reproducible.
+    Pass ``cached=True`` for the production ``Simulator()`` (evaluation
+    cache + NumPy kernels); the result then carries non-``None``
     :attr:`~repro.core.autohet.SearchResult.cache_stats`.
     """
     rounds = rounds if rounds is not None else default_rounds()
-    sim = Simulator() if cached else Simulator(cache=None, memoize_costs=False)
+    sim = Simulator() if cached else Simulator(cache=None, reference=True)
     return autohet_search(
         vgg16(), DEFAULT_CANDIDATES, rounds=rounds, simulator=sim, seed=seed
     )
@@ -610,17 +610,18 @@ def search_cache_profile(
 ) -> list[CacheComparison]:
     """Time annealing + coordinate ascent on cold vs cached simulators.
 
-    The cached configuration must reproduce the cold (reference) results
-    bit-for-bit — :attr:`CacheComparison.identical` records the check —
-    while the evaluation cache, memoised layer costs, and the aggregate
-    allocation summary remove the simulator bottleneck (§4.5).
+    The default ``Simulator()`` must reproduce the cold
+    ``Simulator(cache=None, reference=True)`` results bit-for-bit —
+    :attr:`CacheComparison.identical` records the check — while its
+    evaluation cache and NumPy kernels remove the simulator bottleneck
+    (§4.5).
     """
     name = model if model is not None else bench_model()
     net = get_model(name)
     comparisons: list[CacheComparison] = []
 
     def cold_sim() -> Simulator:
-        return Simulator(cache=None, memoize_costs=False)
+        return Simulator(cache=None, reference=True)
 
     # --- simulated annealing -----------------------------------------
     t0 = time.perf_counter()
@@ -676,8 +677,9 @@ def search_cache_profile(
 
 @dataclass(frozen=True)
 class VectorizedProfile:
-    """The NumPy kernel path timed against the scalar reference.
+    """The NumPy kernel path timed against the materialised reference.
 
+    The reference is ``Simulator(cache=None, reference=True)``.
     ``cold_single_us`` is the search-loop steady state: an evaluation
     whose *strategy* has never been seen (no evaluation-cache entry) on a
     simulator whose per-(network, config) shape tables are warm — the
@@ -686,10 +688,10 @@ class VectorizedProfile:
 
     model: str
     strategies: int                #: batch size scored
-    cold_single_us: float          #: vectorized cold-cache evaluate
-    scalar_single_us: float        #: materialising reference evaluate
+    cold_single_us: float          #: kernel-path evaluate, no result cache
+    scalar_single_us: float        #: reference evaluate, no result cache
     serial_scalar_seconds: float   #: reference loop over the batch
-    batched_seconds: float         #: evaluate_many batched fast path
+    batched_seconds: float         #: evaluate_many batched kernel path
     identical: bool                #: batched results == reference loop
 
     @property
@@ -719,10 +721,11 @@ def vectorized_kernel_profile(
     strategies: int = 256,
     seed: int = 0,
 ) -> VectorizedProfile:
-    """Time the vectorized cost-model core against the scalar reference.
+    """Time the NumPy kernels against the materialised reference.
 
     Scores ``strategies`` random candidate strategies three ways — the
-    materialising reference loop, one vectorized evaluation at a time
+    ``Simulator(cache=None, reference=True)`` loop, one kernel-path
+    evaluation at a time
     (cold cache), and the batched ``evaluate_many`` kernel path — and
     checks the batched results reproduce the reference bit-for-bit
     (infeasible verdicts included; docs/performance.md "Vectorized
@@ -741,7 +744,7 @@ def vectorized_kernel_profile(
         for _ in range(strategies)
     ]
 
-    reference = Simulator(cache=None, memoize_costs=False, vectorize=False)
+    reference = Simulator(cache=None, reference=True)
     t0 = time.perf_counter()
     expected = [
         reference.try_evaluate(net, s, detailed=False) for s in batch

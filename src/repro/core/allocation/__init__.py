@@ -14,7 +14,6 @@ from .tile_based import (
 from .summary import (
     AllocationSummary,
     clear_summary_cache,
-    summarize_allocation,
     summarize_counts,
     summary_cache_info,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "layer_empty_fraction",
     "layer_tiles_needed",
     "plan_tile_sharing",
-    "summarize_allocation",
     "summarize_counts",
     "summary_cache_info",
 ]

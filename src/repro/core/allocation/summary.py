@@ -17,10 +17,14 @@ multiset of per-tile empty counts, so the group outcome is memoised on
 is how the annealing / coordinate-ascent / RL loops re-pay each other's
 work.
 
-Bit-for-bit parity with the materialised path is part of the contract
-(``tests/allocation/test_summary.py`` checks it property-style): every
-integer aggregate is identical, and the per-layer surviving counts are
-ordered so that :func:`~repro.sim.area.area_from_tile_runs` reproduces
+The kernel path of :meth:`~repro.sim.simulator.Simulator.evaluate` and
+the batch scorer in ``repro.sim.kernels`` both call
+:func:`summarize_counts`; ``Simulator(reference=True)`` materialises the
+tiles instead.  Bit-for-bit parity with the materialised path is part of
+the contract (``tests/allocation/test_summary.py`` checks it
+property-style): every integer aggregate is identical, and the per-layer
+surviving counts are ordered so that
+``repro.sim.kernels.area_from_layer_runs`` reproduces
 :func:`~repro.sim.area.allocation_area_um2`'s float fold exactly.
 """
 
@@ -31,7 +35,6 @@ from functools import lru_cache
 from typing import Sequence
 
 from ...arch.config import CrossbarShape
-from ...arch.mapping import LayerMapping
 from ...obs import metrics as obs_metrics
 from ...obs.trace import NULL_TRACER, Tracer
 
@@ -48,9 +51,6 @@ class AllocationSummary:
     #: surviving (occupied) tile count per layer, in layer order — the
     #: tile-id-ordered runs the area model folds over.
     tiles_per_layer: tuple[int, ...]
-    #: crossbar shape per layer, in layer order (parallel to
-    #: :attr:`tiles_per_layer`).
-    shapes_per_layer: tuple[CrossbarShape, ...]
 
     @property
     def total_crossbar_slots(self) -> int:
@@ -134,12 +134,12 @@ def summarize_counts(
 ) -> AllocationSummary:
     """Aggregate allocation outcome from per-layer counts alone.
 
-    The counts-based core of :func:`summarize_allocation`: everything the
-    aggregates need is the per-layer crossbar shape, the per-layer logical
-    crossbar count, and the total weight-cell count — no
-    :class:`~repro.arch.mapping.LayerMapping` objects.  This is the entry
-    point the vectorized batch scorer (``repro.sim.kernels``) uses, where
-    group counts live in NumPy arrays and mappings are never materialised.
+    Produces the same numbers as ``allocate_tile_based`` (optionally
+    followed by ``apply_tile_sharing``) without materialising tiles.
+    Everything the aggregates need is the per-layer crossbar shape, the
+    per-layer logical crossbar count, and the total weight-cell count — no
+    :class:`~repro.arch.mapping.LayerMapping` objects, so the kernels
+    (``repro.sim.kernels``) can feed it counts straight from their arrays.
     With an enabled ``tracer``, emits one ``alloc.group`` event per
     same-shape group recording Algorithm 1's occupancy delta.  The tracer
     never reaches the memoised group function — group outcomes stay keyed
@@ -151,7 +151,6 @@ def summarize_counts(
         raise ValueError(
             f"{len(shapes)} shapes vs {len(crossbar_counts)} crossbar counts"
         )
-    shapes = tuple(shapes)
     tiles_per_layer = [0] * len(shapes)
     occupied = 0
     empty = 0
@@ -206,30 +205,6 @@ def summarize_counts(
         allocated_cells=cells,
         weight_cells=weight_cells,
         tiles_per_layer=tuple(tiles_per_layer),
-        shapes_per_layer=shapes,
-    )
-
-
-def summarize_allocation(
-    mappings: Sequence[LayerMapping],
-    tile_capacity: int,
-    *,
-    tile_shared: bool,
-    tracer: Tracer = NULL_TRACER,
-) -> AllocationSummary:
-    """Aggregate allocation outcome for one mapped strategy.
-
-    Produces the same numbers as ``allocate_tile_based`` (optionally
-    followed by ``apply_tile_sharing``) without materialising tiles.
-    A thin wrapper over :func:`summarize_counts`.
-    """
-    return summarize_counts(
-        tuple(m.shape for m in mappings),
-        tuple(m.num_crossbars for m in mappings),
-        sum(m.weight_cells for m in mappings),
-        tile_capacity,
-        tile_shared=tile_shared,
-        tracer=tracer,
     )
 
 

@@ -192,8 +192,34 @@ def scenario_to_dict(scenario: Scenario) -> dict[str, Any]:
     }
 
 
+_KIND_NAMES = {float: "a number", int: "an integer", bool: "a boolean"}
+
+
+def _typed(value: Any, kind: type, name: str) -> Any:
+    """``value`` of field ``name``, held strictly to its JSON type.
+
+    Nothing is coerced: a float field takes JSON numbers only (ints
+    stay accepted), an int field integers only, a bool field ``true`` /
+    ``false`` only.  ``bool`` is an ``int`` subclass in Python, so it is
+    refused explicitly wherever a number is expected.
+    """
+    if kind is bool:
+        ok = isinstance(value, bool)
+    else:
+        numeric = (int, float) if kind is float else int
+        ok = isinstance(value, numeric) and not isinstance(value, bool)
+    if not ok:
+        raise ValueError(f"{name} must be {_KIND_NAMES[kind]}, got {value!r}")
+    return float(value) if kind is float else value
+
+
 def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
-    """Build a :class:`Scenario` from its JSON form, validating as it goes."""
+    """Build a :class:`Scenario` from its JSON form, validating as it goes.
+
+    Numeric and boolean fields are strictly typed (see :func:`_typed`):
+    ``"100"``, ``2.5`` for an integer, or ``"no"`` for a flag is a
+    ``ValueError`` naming the field, never a silent coercion.
+    """
     if not isinstance(doc, dict):
         raise ValueError(f"scenario must be an object, got {type(doc).__name__}")
     unknown = set(doc) - {
@@ -203,10 +229,16 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     if unknown:
         raise ValueError(f"unknown scenario fields: {sorted(unknown)}")
     tenants = []
-    for entry in doc.get("tenants", ()):
+    for i, entry in enumerate(doc.get("tenants", ())):
+        where = f"tenants[{i}]"
         phases = tuple(
-            ArrivalPhase(at_ns=float(p["at_ns"]), rate_rps=float(p["rate_rps"]))
-            for p in entry.get("phases", ())
+            ArrivalPhase(
+                at_ns=_typed(p.get("at_ns"), float, f"{where}.phases[{j}].at_ns"),
+                rate_rps=_typed(
+                    p.get("rate_rps"), float, f"{where}.phases[{j}].rate_rps"
+                ),
+            )
+            for j, p in enumerate(entry.get("phases", ()))
         )
         tenants.append(
             TenantSpec(
@@ -214,30 +246,35 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
                 model=str(entry["model"]),
                 shape=str(entry.get("shape", "64x64")),
                 strategy=tuple(entry.get("strategy", ())),
-                rate_rps=float(entry.get("rate_rps", 500.0)),
+                rate_rps=_typed(
+                    entry.get("rate_rps", 500.0), float, f"{where}.rate_rps"
+                ),
                 phases=phases,
-                trace_ns=tuple(float(t) for t in entry.get("trace_ns", ())),
-                slo_ns=float(entry.get("slo_ns", 5e6)),
+                trace_ns=tuple(
+                    _typed(t, float, f"{where}.trace_ns[{k}]")
+                    for k, t in enumerate(entry.get("trace_ns", ()))
+                ),
+                slo_ns=_typed(entry.get("slo_ns", 5e6), float, f"{where}.slo_ns"),
             )
         )
     rc = doc.get("realloc", {})
     realloc = ReallocConfig(
-        enabled=bool(rc.get("enabled", True)),
-        threshold=float(rc.get("threshold", 0.2)),
-        window=int(rc.get("window", 128)),
-        check_every=int(rc.get("check_every", 32)),
-        stall_ns=float(rc.get("stall_ns", 5e4)),
-        cooldown_ns=float(rc.get("cooldown_ns", 1e7)),
-        headroom=float(rc.get("headroom", 2.0)),
+        enabled=_typed(rc.get("enabled", True), bool, "realloc.enabled"),
+        threshold=_typed(rc.get("threshold", 0.2), float, "realloc.threshold"),
+        window=_typed(rc.get("window", 128), int, "realloc.window"),
+        check_every=_typed(rc.get("check_every", 32), int, "realloc.check_every"),
+        stall_ns=_typed(rc.get("stall_ns", 5e4), float, "realloc.stall_ns"),
+        cooldown_ns=_typed(rc.get("cooldown_ns", 1e7), float, "realloc.cooldown_ns"),
+        headroom=_typed(rc.get("headroom", 2.0), float, "realloc.headroom"),
     )
     return Scenario(
         name=str(doc.get("name", "scenario")),
         tenants=tuple(tenants),
-        duration_ns=float(doc.get("duration_ns", 2.5e8)),
-        seed=int(doc.get("seed", 0)),
-        max_batch=int(doc.get("max_batch", 8)),
-        queue_cap=int(doc.get("queue_cap", 0)),
-        drain=bool(doc.get("drain", False)),
+        duration_ns=_typed(doc.get("duration_ns", 2.5e8), float, "duration_ns"),
+        seed=_typed(doc.get("seed", 0), int, "seed"),
+        max_batch=_typed(doc.get("max_batch", 8), int, "max_batch"),
+        queue_cap=_typed(doc.get("queue_cap", 0), int, "queue_cap"),
+        drain=_typed(doc.get("drain", False), bool, "drain"),
         realloc=realloc,
     )
 

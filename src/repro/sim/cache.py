@@ -84,15 +84,15 @@ FINGERPRINTED_FIELDS: Mapping[str, tuple[str, ...]] = {
 }
 
 #: Fields the evaluation reads that are declared *result-invariant*:
-#: they change how a result is computed (which memo, which cache), never
-#: what it is — the memoize/reference parity tests are the evidence.
+#: they change how a result is computed (which path, which cache), never
+#: what it is — the kernel/reference parity tests are the evidence.
 RESULT_INVARIANT_FIELDS: Mapping[str, tuple[str, ...]] = {
     # ``tracer`` only observes the evaluation (spans/events/counters);
     # the trace-invariance battery in ``tests/obs`` is the evidence that
-    # it never changes a metric bit.  ``vectorize`` selects the NumPy
-    # kernel path, which is bit-identical to the scalar reference
-    # (``tests/sim/test_vectorized_parity.py``).
-    "Simulator": ("cache", "memoize_costs", "tracer", "vectorize"),
+    # it never changes a metric bit.  ``reference`` selects the
+    # materialised Algorithm-1 path, which is bit-identical to the NumPy
+    # kernels (``tests/sim/test_vectorized_parity.py``).
+    "Simulator": ("cache", "reference", "tracer"),
     # ``_hash`` / ``_str`` are ``__post_init__`` stashes derived purely
     # from ``rows`` and ``cols``, which *are* fingerprinted — two shapes
     # with equal fingerprints carry equal stashes by construction.

@@ -22,8 +22,6 @@ premise of the paper's size/energy trade-off (§2.2.3).
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 from ..arch.config import HardwareConfig
 from ..arch.mapping import LayerMapping
 from ..models.graph import Network
@@ -113,22 +111,6 @@ def layer_dynamic_energy(
     )
 
 
-# ----------------------------------------------------------------------
-# Memoised variants — the simulator's hot path.
-#
-# A layer's energy depends only on its (mapping, config) pair, never on
-# how tiles were allocated, so the cost is shared across every strategy
-# that gives the layer the same crossbar shape.  The annealing and
-# coordinate-ascent loops re-evaluate strategies differing in one layer;
-# without memoisation they re-pay N-1 identical layer costs per proposal.
-# Both arguments are frozen dataclasses, and the returned values are
-# immutable, so lru_cache sharing is safe (and thread-safe).
-# ----------------------------------------------------------------------
-cached_layer_dynamic_energy = lru_cache(maxsize=65536)(layer_dynamic_energy)
-cached_layer_adc_conversions = lru_cache(maxsize=65536)(layer_adc_conversions)
-cached_layer_dac_conversions = lru_cache(maxsize=65536)(layer_dac_conversions)
-
-
 def pooling_energy(network: Network, config: HardwareConfig) -> float:
     """Energy of all pooling stages for one inference pass (nJ)."""
     total = 0.0
@@ -139,10 +121,6 @@ def pooling_energy(network: Network, config: HardwareConfig) -> float:
         pooled = pool.output_size(layer.output_size) ** 2 * layer.out_channels
         total += pooled * config.energy_pool_nj
     return total
-
-
-#: Memoised variant (pooling depends only on the network topology).
-cached_pooling_energy = lru_cache(maxsize=1024)(pooling_energy)
 
 
 def leakage_energy(

@@ -2,10 +2,11 @@
 
 The scalar cost model (``energy.py`` / ``latency.py`` / ``area.py`` and
 the Eq. 4 mapping math in ``arch/mapping.py``) walks Python objects layer
-by layer.  After PR 2's memoisation that walk is still the hot path of a
-cold :meth:`~repro.sim.simulator.Simulator.evaluate` — exactly the ~97%
-simulator-feedback wall clock the paper measures in §4.5.  This module
-re-expresses the whole model as array kernels:
+by layer; ``Simulator(reference=True)`` runs that walk over a
+materialised tile plan.  The walk is the ~97% simulator-feedback wall
+clock the paper measures in §4.5, so the default
+:meth:`~repro.sim.simulator.Simulator.evaluate` path re-expresses the
+whole model as array kernels:
 
 * a **struct-of-arrays** :class:`NetworkArrays` record, extracted once per
   :class:`~repro.models.graph.Network` and memoised — per-layer channel
@@ -31,8 +32,8 @@ the PR 4 golden/trace batteries enforce it).  The techniques:
   strict sequential left fold, unlike ``np.sum``'s pairwise reduction, so
   it replays the scalar ``total += x`` loop addition for addition;
 * the area roll-up repeats each layer's tile area ``count`` times
-  (``np.repeat`` + ``cumsum``), matching ``area_from_tile_runs``'s
-  one-addition-per-tile fold;
+  (``np.repeat`` + ``cumsum``), matching
+  ``area.allocation_area_um2``'s one-addition-per-occupied-tile fold;
 * integer quantities stay in ``int64`` (exact far beyond any realistic
   magnitude) and convert to float at the same point the scalar code does;
   ``ceil(a / b)`` on integers becomes ``-(-a // b)``;
@@ -604,11 +605,12 @@ def batch_utilization(batch: MappingBatch) -> np.ndarray:
 def area_from_layer_runs(
     tile_areas: np.ndarray, counts: Sequence[int] | np.ndarray
 ) -> float:
-    """``area.area_from_tile_runs`` on arrays — one addition per tile.
+    """``area.allocation_area_um2`` from per-layer tile counts.
 
-    ``np.repeat`` expands each layer's tile area ``count`` times (zero
-    counts drop out, like the scalar ``count <= 0`` skip) and the cumsum
-    left-folds the expansion exactly like the scalar per-tile loop.
+    Occupied tiles are ordered by tile id, i.e. grouped into per-layer
+    runs, so ``np.repeat`` expands each layer's tile area ``count`` times
+    (zero counts drop out) and the cumsum left-folds the expansion one
+    addition per tile, exactly like the reference's ``sum`` over tiles.
     """
     expanded = np.repeat(tile_areas, counts)
     if expanded.size == 0:
@@ -996,9 +998,9 @@ def score_strategy_batch(
     (Algorithm 1's memoised group outcomes) and the final
     :class:`SystemMetrics` assembly stay per-strategy.  Returns one entry
     per strategy, in order: a :class:`SystemMetrics`, or an
-    :class:`InfeasibleScore` carrying the exact message the scalar path's
-    ``CapacityError`` would (``Simulator.summarize``'s format — the cached
-    sentinels must compare equal across paths).
+    :class:`InfeasibleScore` carrying the exact message the reference
+    path's ``CapacityError`` would (``Simulator._capacity_check``'s
+    format — the cached sentinels must compare equal across paths).
     """
     strategies = [tuple(s) for s in strategies]
     net = cached_network_arrays(network)

@@ -20,7 +20,6 @@ Pooling stages add one pooling-module cycle per pooled output element.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from ..arch.config import HardwareConfig
 from ..arch.mapping import LayerMapping
@@ -64,12 +63,6 @@ def layer_latency_ns(mapping: LayerMapping, config: HardwareConfig) -> float:
     return mapping.layer.mvm_ops * mvm_latency_ns(mapping, config)
 
 
-# Memoised variants for the simulator hot path: a layer's latency depends
-# only on its (mapping, config) pair — allocation-independent, so shared
-# across all strategies giving the layer the same shape (see energy.py).
-cached_layer_latency_ns = lru_cache(maxsize=65536)(layer_latency_ns)
-
-
 def pooling_latency_ns(network: Network, config: HardwareConfig) -> float:
     """Latency of all pooling stages for one inference pass (ns)."""
     total = 0.0
@@ -80,7 +73,3 @@ def pooling_latency_ns(network: Network, config: HardwareConfig) -> float:
         pooled = pool.output_size(layer.output_size) ** 2 * layer.out_channels
         total += pooled * config.latency_pool_ns
     return total
-
-
-#: Memoised variant (pooling depends only on the network topology).
-cached_pooling_latency_ns = lru_cache(maxsize=1024)(pooling_latency_ns)

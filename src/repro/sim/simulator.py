@@ -12,20 +12,17 @@ the analytic energy / latency / area models.
 
 Because it is pure, evaluation is also *cacheable* — and the simulator is
 the search-time bottleneck (§4.5 reports ~97% of AutoHet's wall clock
-waiting on feedback).  Three layers attack that, all on by default:
+waiting on feedback).  Two layers attack that, both on by default:
 
 * a strategy-level :class:`~repro.sim.cache.EvaluationCache` (bounded
   LRU, hit/miss counters) in front of :meth:`Simulator.evaluate`;
-* memoised per-``(mapping, config)`` layer energy/latency costs and an
-  aggregate allocation summary (``repro.core.allocation.summary``) below
-  it, shared across all strategies that agree on a layer's shape or a
-  tile group's composition;
-* :meth:`Simulator.evaluate_many`, which scores a whole batch of
-  strategies in one pass of the ``(S, L)`` NumPy kernels.
+* the NumPy kernels (``repro.sim.kernels``) below it, which
+  :meth:`Simulator.evaluate_many` runs over a whole ``(S, L)`` batch.
 
-``Simulator(cache=None, memoize_costs=False)`` restores the cold
-reference path; results are bit-for-bit identical either way (tested
-property-style in ``tests/sim/test_cache.py``).  See
+``Simulator(cache=None, reference=True)`` runs the materialised
+Algorithm-1 reference instead: it builds and validates every tile and
+sums the per-layer scalar cost models.  Results are bit-for-bit
+identical either way (``tests/sim/test_vectorized_parity.py``).  See
 ``docs/performance.md``.
 """
 
@@ -41,35 +38,22 @@ from ..core.allocation import (
     allocate_tile_based,
     apply_tile_sharing,
 )
-from ..core.allocation.summary import (
-    AllocationSummary,
-    summarize_allocation,
-    summarize_counts,
-)
+from ..core.allocation.summary import summarize_counts
 from ..models.graph import Network
 from ..obs import metrics as obs_metrics
 from ..obs import trace as obs_trace
 from ..obs.trace import NULL_TRACER, Tracer
 from . import kernels
-from .area import allocation_area_um2, area_from_tile_runs
+from .area import allocation_area_um2
 from .cache import EvaluationCache, _Infeasible
 from .energy import (
-    cached_layer_adc_conversions,
-    cached_layer_dac_conversions,
-    cached_layer_dynamic_energy,
-    cached_pooling_energy,
     layer_adc_conversions,
     layer_dac_conversions,
     layer_dynamic_energy,
     leakage_energy,
     pooling_energy,
 )
-from .latency import (
-    cached_layer_latency_ns,
-    cached_pooling_latency_ns,
-    layer_latency_ns,
-    pooling_latency_ns,
-)
+from .latency import layer_latency_ns, pooling_latency_ns
 from .metrics import EnergyBreakdown, LayerCost, SystemMetrics
 
 #: A crossbar-configuration strategy: one shape per weight layer.
@@ -91,14 +75,10 @@ class Simulator:
     cache: EvaluationCache | None = field(
         default_factory=EvaluationCache, compare=False
     )
-    #: memoise layer costs and use the aggregate allocation summary
-    memoize_costs: bool = True
-    #: score evaluations with the NumPy batch kernels
-    #: (``repro.sim.kernels``) instead of the per-layer scalar loop.
-    #: Bit-identical results either way (``tests/sim/test_vectorized_parity.py``);
-    #: only effective alongside ``memoize_costs`` — the materialised
-    #: reference path always runs scalar.
-    vectorize: bool = True
+    #: run the materialised Algorithm-1 reference (full tile plan plus
+    #: the per-layer scalar cost models) instead of the NumPy kernels.
+    #: Bit-identical results either way (``tests/sim/test_vectorized_parity.py``).
+    reference: bool = False
     #: observability tracer; ``None`` (default) resolves the ambient
     #: tracer (``repro.obs.use_tracer``) at each call, which is the
     #: no-op ``NULL_TRACER`` unless tracing was explicitly enabled.
@@ -132,8 +112,8 @@ class Simulator:
         """Tile allocation, optionally followed by Algorithm 1 remapping.
 
         Always materialises (and validates) the full tile plan — use this
-        for deployable plans; :meth:`evaluate` takes the aggregate
-        shortcut when ``memoize_costs`` is set.
+        for deployable plans; :meth:`evaluate` calls it only when
+        :attr:`reference` is set.
         """
         allocation = allocate_tile_based(
             mappings, self.config.logical_xbars_per_tile
@@ -148,7 +128,7 @@ class Simulator:
 
         One formatting site for the error message — the cached
         ``_Infeasible`` sentinels store it verbatim, so every evaluation
-        path (materialised, summary, vectorized, batch-scored) must
+        path (materialised, kernel, batch-scored) must
         produce the identical string.  ``kernels.score_strategy_batch``
         replicates this format; the parity analyzer (PAR003) checks the
         two f-strings against each other, and
@@ -160,28 +140,6 @@ class Simulator:
                 f"strategy needs {occupied_tiles} tiles; one bank "
                 f"holds {self.config.tiles_per_bank}"
             )
-
-    def summarize(
-        self,
-        mappings: Sequence[LayerMapping],
-        *,
-        tile_shared: bool,
-        tracer: Tracer = NULL_TRACER,
-    ) -> AllocationSummary:
-        """Aggregate allocation stats without materialising tiles.
-
-        The memoised integer-math equivalent of :meth:`allocate` —
-        bit-identical aggregates, no :class:`~repro.core.allocation.tiles.Tile`
-        objects (see ``repro.core.allocation.summary``).
-        """
-        summary = summarize_allocation(
-            mappings,
-            self.config.logical_xbars_per_tile,
-            tile_shared=tile_shared,
-            tracer=tracer,
-        )
-        self._capacity_check(summary.occupied_tiles)
-        return summary
 
     # ------------------------------------------------------------------
     def evaluate(
@@ -312,12 +270,11 @@ class Simulator:
         tracer: Tracer = NULL_TRACER,
     ) -> SystemMetrics:
         cfg = self.config
-        if self.memoize_costs and self.vectorize:
-            # Vectorized fast path: one fancy-index gather of the
-            # per-(network, config) shape table (repro.sim.kernels) plus
-            # array folds, never materialising LayerMapping objects.
-            # Bit-identical to the scalar paths below — the parity
-            # battery is the proof.
+        if not self.reference:
+            # Kernel path: one fancy-index gather of the per-(network,
+            # config) shape table (repro.sim.kernels) plus array folds,
+            # never materialising LayerMapping objects.  Bit-identical to
+            # the reference below — the parity battery is the proof.
             with tracer.span(obs_metrics.SPAN_MAP, network=network.name):
                 net, floats, ints = kernels.strategy_view(
                     network, strategy, cfg
@@ -345,51 +302,19 @@ class Simulator:
                     detailed=detailed,
                 )
 
+        # Reference path: materialise and validate the full tile plan.
         with tracer.span(obs_metrics.SPAN_MAP, network=network.name):
             mappings = self.map_network(network, strategy)
-
-        if self.memoize_costs:
-            # Aggregate fast path: bit-identical integer/float rollups
-            # without materialising Tile objects (the profiled ~70% of a
-            # cold evaluate), plus memoised per-layer costs.
-            with tracer.span(obs_metrics.SPAN_ALLOCATE, mode="summary"):
-                summary = self.summarize(
-                    mappings, tile_shared=tile_shared, tracer=tracer
-                )
-            utilization = summary.utilization
-            occupied_tiles = summary.occupied_tiles
-            occupied_slots = summary.total_crossbar_slots
-            allocated_cells = summary.allocated_cells
-            empty_crossbars = summary.empty_crossbars
-            area_um2 = area_from_tile_runs(
-                zip(summary.shapes_per_layer, summary.tiles_per_layer), cfg
-            )
-            energy_fn, latency_fn = cached_layer_dynamic_energy, cached_layer_latency_ns
-            adc_fn, dac_fn = cached_layer_adc_conversions, cached_layer_dac_conversions
-            pool_e_fn, pool_t_fn = cached_pooling_energy, cached_pooling_latency_ns
-        else:
-            # Reference path: materialise and validate the full tile plan.
-            with tracer.span(obs_metrics.SPAN_ALLOCATE, mode="materialized"):
-                allocation = self.allocate(
-                    mappings, tile_shared=tile_shared, tracer=tracer
-                )
-            utilization = allocation.utilization
-            occupied_tiles = allocation.occupied_tiles
-            occupied_slots = allocation.total_crossbar_slots
-            allocated_cells = allocation.allocated_cells
-            empty_crossbars = allocation.empty_crossbars
-            area_um2 = allocation_area_um2(allocation, cfg)
-            energy_fn, latency_fn = layer_dynamic_energy, layer_latency_ns
-            adc_fn, dac_fn = layer_adc_conversions, layer_dac_conversions
-            pool_e_fn, pool_t_fn = pooling_energy, pooling_latency_ns
+        with tracer.span(obs_metrics.SPAN_ALLOCATE, mode="materialized"):
+            allocation = self.allocate(mappings, tile_shared=tile_shared, tracer=tracer)
 
         layer_costs: list[LayerCost] = []
         dynamic = EnergyBreakdown()
         latency = 0.0
         with tracer.span(obs_metrics.SPAN_COST, layers=len(mappings)):
             for mapping in mappings:
-                e = energy_fn(mapping, cfg)
-                t = latency_fn(mapping, cfg)
+                e = layer_dynamic_energy(mapping, cfg)
+                t = layer_latency_ns(mapping, cfg)
                 dynamic = dynamic + e
                 latency += t
                 if detailed:
@@ -399,20 +324,20 @@ class Simulator:
                             shape_str=str(mapping.shape),
                             mvm_ops=mapping.layer.mvm_ops,
                             num_crossbars=mapping.num_crossbars,
-                            adc_conversions=adc_fn(mapping, cfg),
-                            dac_conversions=dac_fn(mapping, cfg),
+                            adc_conversions=layer_adc_conversions(mapping, cfg),
+                            dac_conversions=layer_dac_conversions(mapping, cfg),
                             energy=e,
                             latency_ns=t,
                             intra_utilization=mapping.utilization,
                         )
                     )
 
-            pool_e = pool_e_fn(network, cfg)
-            latency += pool_t_fn(network, cfg)
+            pool_e = pooling_energy(network, cfg)
+            latency += pooling_latency_ns(network, cfg)
             leak = leakage_energy(
-                occupied_tiles,
-                occupied_slots,
-                allocated_cells,
+                allocation.occupied_tiles,
+                allocation.total_crossbar_slots,
+                allocation.allocated_cells,
                 latency,
                 cfg,
             )
@@ -421,13 +346,13 @@ class Simulator:
         return SystemMetrics(
             network_name=network.name,
             strategy=tuple(str(s) for s in strategy),
-            utilization=utilization,
+            utilization=allocation.utilization,
             energy_nj=breakdown.total,
             latency_ns=latency,
-            area_um2=area_um2,
-            occupied_tiles=occupied_tiles,
+            area_um2=allocation_area_um2(allocation, cfg),
+            occupied_tiles=allocation.occupied_tiles,
             occupied_crossbars=sum(m.num_crossbars for m in mappings),
-            empty_crossbars=empty_crossbars,
+            empty_crossbars=allocation.empty_crossbars,
             tile_shared=tile_shared,
             energy_breakdown=breakdown,
             layer_costs=tuple(layer_costs),
@@ -480,8 +405,7 @@ class Simulator:
         # ``None`` (``skip_infeasible``).  Anything else falls through to
         # the loop below — results are bit-identical either way.
         if (
-            self.vectorize
-            and self.memoize_costs
+            not self.reference
             and skip_infeasible
             and len(batch) > 1
             and not tracer.enabled

@@ -1,8 +1,11 @@
-"""``summarize_allocation`` must reproduce the materialised allocator's
-aggregates exactly — it is the fast path ``Simulator.evaluate`` trusts
-instead of building tiles (docs/performance.md)."""
+"""``summarize_counts`` must reproduce the materialised allocator's
+aggregates exactly — it is the shortcut the kernel path of
+``Simulator.evaluate`` trusts instead of building tiles
+(docs/performance.md)."""
 
 import math
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -14,11 +17,23 @@ from repro.core.allocation import (
     allocate_tile_based,
     apply_tile_sharing,
     clear_summary_cache,
-    summarize_allocation,
+    summarize_counts,
     summary_cache_info,
 )
 from repro.models import LayerSpec
-from repro.sim.area import allocation_area_um2, area_from_tile_runs
+from repro.sim import kernels
+from repro.sim.area import allocation_area_um2, tile_area_um2
+
+
+def summary_of(mappings, capacity, *, tile_shared):
+    """``summarize_counts`` fed from mappings, as the kernels feed it."""
+    return summarize_counts(
+        tuple(m.shape for m in mappings),
+        tuple(m.num_crossbars for m in mappings),
+        sum(m.weight_cells for m in mappings),
+        capacity,
+        tile_shared=tile_shared,
+    )
 
 
 def materialize(mappings, capacity, *, tile_shared):
@@ -52,7 +67,7 @@ def surviving_tiles_per_layer(allocation, mappings, capacity):
 
 def assert_summary_matches(mappings, capacity, config, *, tile_shared):
     allocation = materialize(mappings, capacity, tile_shared=tile_shared)
-    summary = summarize_allocation(mappings, capacity, tile_shared=tile_shared)
+    summary = summary_of(mappings, capacity, tile_shared=tile_shared)
     assert summary.occupied_tiles == allocation.occupied_tiles
     assert summary.empty_crossbars == allocation.empty_crossbars
     assert summary.allocated_cells == allocation.allocated_cells
@@ -62,11 +77,11 @@ def assert_summary_matches(mappings, capacity, config, *, tile_shared):
     assert summary.tiles_per_layer == surviving_tiles_per_layer(
         allocation, mappings, capacity
     )
-    assert summary.shapes_per_layer == tuple(m.shape for m in mappings)
-    # The float fold over per-layer runs must replay the per-tile fold
-    # bit for bit (tiles of one layer are contiguous and share a shape).
-    assert area_from_tile_runs(
-        zip(summary.shapes_per_layer, summary.tiles_per_layer), config
+    # The kernels' float fold over per-layer runs must replay the per-tile
+    # fold bit for bit (a layer's tiles are contiguous and share a shape).
+    tile_areas = np.array([tile_area_um2(m.shape, config) for m in mappings])
+    assert kernels.area_from_layer_runs(
+        tile_areas, summary.tiles_per_layer
     ) == allocation_area_um2(allocation, config)
 
 
@@ -121,9 +136,9 @@ def test_summary_group_memo_is_shared(lenet_net):
     mappings = tuple(
         map_layer(layer, shape) for layer, shape in zip(lenet_net.layers, shapes)
     )
-    summarize_allocation(mappings, 4, tile_shared=True)
+    summary_of(mappings, 4, tile_shared=True)
     misses = summary_cache_info().misses
-    summarize_allocation(mappings, 4, tile_shared=True)
+    summary_of(mappings, 4, tile_shared=True)
     after = summary_cache_info()
     assert after.misses == misses  # second call re-pays nothing
     assert after.hits > 0
@@ -132,4 +147,4 @@ def test_summary_group_memo_is_shared(lenet_net):
 def test_summary_rejects_nonpositive_capacity(lenet_net):
     mapping = map_layer(lenet_net.layers[0], DEFAULT_CANDIDATES[0])
     with pytest.raises(ValueError):
-        summarize_allocation((mapping,), 0, tile_shared=True)
+        summary_of((mapping,), 0, tile_shared=True)

@@ -118,11 +118,20 @@ class TestFromPackage:
         assert index.modules["repro.sim"].is_package
 
     def test_lru_cache_wrapper_alias_indexed(self):
-        # ``cached_x = lru_cache(N)(x)`` must resolve to the wrapped
-        # function — the engine follows these into the cost models.
-        root = Path(repro.__file__).resolve().parent
-        index = ModuleIndex.from_package(root, "repro")
-        energy = index.modules["repro.sim.energy"]
-        entity = index.resolve(energy, "cached_layer_dynamic_energy")
+        # ``cached = lru_cache(N)(f)`` must resolve to the wrapped
+        # function, so the CAC/PAR walks follow a memo wrapper into the
+        # code it wraps.
+        index = ModuleIndex.from_sources(
+            {
+                "pkg": "",
+                "pkg.costs": (
+                    "from functools import lru_cache\n"
+                    "def f(x):\n"
+                    "    return x.size\n"
+                    "cached = lru_cache(maxsize=8)(f)\n"
+                ),
+            }
+        )
+        entity = index.resolve(index.modules["pkg.costs"], "cached")
         assert isinstance(entity, FunctionInfo)
-        assert entity.name == "layer_dynamic_energy"
+        assert entity.name == "f"

@@ -45,6 +45,17 @@ class TestCheckConfig:
         assert main(["check", "--config", str(path), "--shapes", "576x512"]) == 1
         assert "CFG004" in capsys.readouterr().out
 
+    def test_broken_cost_constant_nonzero(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        # json.dumps writes the non-standard NaN literal json.loads reads.
+        path.write_text(
+            json.dumps({"energy_adc_8bit_nj": -1.0, "area_cell_um2": float("nan")})
+        )
+        assert main(["check", "--config", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "CFG005" in out
+        assert "energy_adc_8bit_nj" in out and "area_cell_um2" in out
+
 
 class TestCheckModelStrategy:
     def test_good_model_and_strategy(self, tmp_path, capsys):

@@ -92,6 +92,64 @@ class TestConfigChecks:
         assert rule_ids(diags) == ["CFG004"]
 
 
+BROKEN_COST_CONSTANTS = [
+    # A negative ADC energy made LeNet's energy_nj about -4.15e6.
+    ("energy_adc_8bit_nj", -1.0),
+    ("energy_adc_8bit_nj", float("nan")),
+    ("latency_control_ns", float("inf")),
+    ("area_cell_um2", -0.1),
+    ("leak_cell_nw", float("-inf")),
+    ("idle_line_energy_fraction", 1.5),
+]
+
+
+class TestCostConstants:
+    """CFG005: finite, non-negative cost constants."""
+
+    @pytest.mark.parametrize("name, value", BROKEN_COST_CONSTANTS)
+    def test_construction_rejects_and_names_the_field(self, name, value):
+        with pytest.raises(InvariantViolation) as exc:
+            HardwareConfig(**{name: value})
+        assert exc.value.rule_ids == ("CFG005",)
+        assert name in str(exc.value)
+
+    @pytest.mark.parametrize("name, value", BROKEN_COST_CONSTANTS)
+    def test_dict_checker_flags_the_same_values(self, name, value):
+        diags = check_config_dict({name: value})
+        assert rule_ids(diags) == ["CFG005"]
+        assert name in diags[0].message
+
+    @pytest.mark.parametrize("value", ["1e-3", True, None])
+    def test_dict_checker_rejects_non_numbers(self, value):
+        diags = check_config_dict({"energy_dac_nj": value})
+        assert rule_ids(diags) == ["CFG005"]
+        assert "energy_dac_nj" in diags[0].message
+
+    def test_with_rejects_a_broken_constant(self):
+        with pytest.raises(InvariantViolation, match="latency_xbar_ns"):
+            DEFAULT_CONFIG.with_(latency_xbar_ns=-10.0)
+
+    def test_boundary_values_are_valid(self):
+        zeros = {
+            f.name: 0.0
+            for f in dataclasses.fields(HardwareConfig)
+            if f.type == "float"
+        }
+        cfg = HardwareConfig(**{**zeros, "idle_line_energy_fraction": 1.0})
+        assert check_config(cfg, DEFAULT_CANDIDATES) == []
+        # Integer values for float fields stay accepted.
+        assert check_config(HardwareConfig(latency_control_ns=800)) == []
+
+    def test_every_float_field_is_checked(self):
+        floats = [
+            f.name for f in dataclasses.fields(HardwareConfig) if f.type == "float"
+        ]
+        assert floats
+        for name in floats:
+            with pytest.raises(InvariantViolation, match=name):
+                HardwareConfig(**{name: -1.0})
+
+
 # ----------------------------------------------------------------------
 # Mappings (Eq. 4)
 # ----------------------------------------------------------------------

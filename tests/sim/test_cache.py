@@ -18,10 +18,10 @@ from repro.sim.simulator import CapacityError, Simulator
 
 
 def reference_simulator(config=None, **kwargs):
-    """The cold path: no result cache, no memoised costs."""
+    """The cold path: no result cache, materialised reference."""
     if config is not None:
-        return Simulator(config, cache=None, memoize_costs=False, **kwargs)
-    return Simulator(cache=None, memoize_costs=False, **kwargs)
+        return Simulator(config, cache=None, reference=True, **kwargs)
+    return Simulator(cache=None, reference=True, **kwargs)
 
 
 # ----------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Byte-identity of the infeasible verdict message across every path.
 
-An infeasible strategy surfaces in three ways: the scalar loop raises
+An infeasible strategy surfaces in three ways: the reference path raises
 :class:`~repro.sim.simulator.CapacityError`; the batch kernel returns
 :class:`~repro.sim.kernels.InfeasibleScore`; and the batched
 ``evaluate_many`` fast path caches an ``_Infeasible`` sentinel.  All
@@ -33,7 +33,7 @@ def case():
 
 
 def scalar_message(network, strategy) -> str:
-    sim = Simulator(config=TINY, cache=None, vectorize=False)
+    sim = Simulator(config=TINY, cache=None, reference=True)
     with pytest.raises(CapacityError) as excinfo:
         sim.evaluate(network, strategy)
     return str(excinfo.value)

@@ -6,7 +6,7 @@ energy-dimension constant by a factor must scale reported energy by
 exactly that factor and leave every other dimension untouched.  Doubling
 is IEEE-exact (multiplying a float by 2.0 never rounds, and scaling by a
 power of two commutes with addition's rounding), so the laws hold
-bit-for-bit — on the scalar and the vectorized path alike.
+bit-for-bit — on the reference and the vectorized path alike.
 
 Leakage makes the field set subtle: it is ``power_nw * latency_ns *
 NW_NS_TO_NJ``, so the energy *output* dimension is reached through the
@@ -52,12 +52,12 @@ strategies_for_network = st.lists(
 ).map(tuple)
 
 
-@pytest.mark.parametrize("vectorize", [False, True], ids=["scalar", "vectorized"])
+@pytest.mark.parametrize("reference", [True, False], ids=["scalar", "vectorized"])
 @settings(max_examples=15, deadline=None)
 @given(strategy=strategies_for_network)
-def test_doubling_energy_constants_exactly_doubles_energy(vectorize, strategy):
-    base = Simulator(config=DEFAULT_CONFIG, vectorize=vectorize)
-    doubled = Simulator(config=doubled_energy_config(), vectorize=vectorize)
+def test_doubling_energy_constants_exactly_doubles_energy(reference, strategy):
+    base = Simulator(config=DEFAULT_CONFIG, reference=reference)
+    doubled = Simulator(config=doubled_energy_config(), reference=reference)
     m1 = base.evaluate(NETWORK, strategy)
     m2 = doubled.evaluate(NETWORK, strategy)
     assert m2.energy_nj == 2.0 * m1.energy_nj
@@ -67,14 +67,14 @@ def test_doubling_energy_constants_exactly_doubles_energy(vectorize, strategy):
         ), name
 
 
-@pytest.mark.parametrize("vectorize", [False, True], ids=["scalar", "vectorized"])
+@pytest.mark.parametrize("reference", [True, False], ids=["scalar", "vectorized"])
 @settings(max_examples=15, deadline=None)
 @given(strategy=strategies_for_network)
 def test_doubling_energy_constants_leaves_other_dimensions_bit_identical(
-    vectorize, strategy
+    reference, strategy
 ):
-    base = Simulator(config=DEFAULT_CONFIG, vectorize=vectorize)
-    doubled = Simulator(config=doubled_energy_config(), vectorize=vectorize)
+    base = Simulator(config=DEFAULT_CONFIG, reference=reference)
+    doubled = Simulator(config=doubled_energy_config(), reference=reference)
     m1 = base.evaluate(NETWORK, strategy)
     m2 = doubled.evaluate(NETWORK, strategy)
     assert m2.latency_ns == m1.latency_ns
@@ -87,14 +87,14 @@ def test_doubling_energy_constants_leaves_other_dimensions_bit_identical(
         assert lc2.num_crossbars == lc1.num_crossbars
 
 
-@pytest.mark.parametrize("vectorize", [False, True], ids=["scalar", "vectorized"])
-def test_scaling_law_survives_infeasibility(vectorize):
+@pytest.mark.parametrize("reference", [True, False], ids=["scalar", "vectorized"])
+def test_scaling_law_survives_infeasibility(reference):
     """An infeasible pair stays infeasible — with the *same* message —
     under the scaled config: capacity is a count, not an energy."""
     strategy = tuple([DEFAULT_CANDIDATES[0]] * NETWORK.num_layers)
     tiny = DEFAULT_CONFIG.with_(tiles_per_bank=1)
-    base = Simulator(config=tiny, vectorize=vectorize)
-    doubled = Simulator(config=doubled_energy_config(tiny), vectorize=vectorize)
+    base = Simulator(config=tiny, reference=reference)
+    doubled = Simulator(config=doubled_energy_config(tiny), reference=reference)
     with pytest.raises(CapacityError) as exc1:
         base.evaluate(NETWORK, strategy)
     with pytest.raises(CapacityError) as exc2:
@@ -102,14 +102,14 @@ def test_scaling_law_survives_infeasibility(vectorize):
     assert str(exc1.value) == str(exc2.value)
 
 
-@pytest.mark.parametrize("vectorize", [False, True], ids=["scalar", "vectorized"])
-def test_scalar_and_vectorized_agree_on_the_scaled_config(vectorize):
+@pytest.mark.parametrize("reference", [True, False], ids=["scalar", "vectorized"])
+def test_scalar_and_vectorized_agree_on_the_scaled_config(reference):
     """The doubled config is an ordinary config: both evaluation paths
-    must still agree bit-for-bit on it (vectorize is the outer compare)."""
+    must still agree bit-for-bit on it (reference is the outer compare)."""
     strategy = tuple([DEFAULT_CANDIDATES[1]] * NETWORK.num_layers)
     cfg = doubled_energy_config()
-    m_this = Simulator(config=cfg, vectorize=vectorize).evaluate(NETWORK, strategy)
-    m_other = Simulator(config=cfg, vectorize=not vectorize).evaluate(
+    m_this = Simulator(config=cfg, reference=reference).evaluate(NETWORK, strategy)
+    m_other = Simulator(config=cfg, reference=not reference).evaluate(
         NETWORK, strategy
     )
     assert m_this.energy_nj == m_other.energy_nj

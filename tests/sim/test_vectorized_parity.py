@@ -7,8 +7,9 @@ folds via ``cumsum``, identical association order, identical int→float
 conversion points).  These tests enforce the contract three ways:
 
 * a hypothesis battery over random networks × strategies × configs,
-  comparing all three evaluation modes (materialising reference,
-  scalar-memoized, vectorized) pairwise, infeasible verdicts included;
+  comparing the two evaluation paths (``Simulator(reference=True)``,
+  the materialising reference, and the default vectorized kernels),
+  infeasible verdicts included;
 * the paper workloads (VGG16 et al.) under the paper's strategies;
 * the batched ``evaluate_many`` fast path against the serial loop,
   duplicates and infeasible entries included, cache counters and all.
@@ -32,19 +33,7 @@ SHAPES = DEFAULT_CANDIDATES
 
 def reference_sim(config=None):
     """The materialising scalar path — the semantic ground truth."""
-    return Simulator(
-        config=config or HardwareConfig(),
-        cache=None,
-        memoize_costs=False,
-        vectorize=False,
-    )
-
-
-def scalar_sim(config=None):
-    """The scalar summary-shortcut path (memoized, not vectorized)."""
-    return Simulator(
-        config=config or HardwareConfig(), cache=None, vectorize=False
-    )
+    return Simulator(config=config or HardwareConfig(), cache=None, reference=True)
 
 
 def vector_sim(config=None):
@@ -97,12 +86,12 @@ class TestHypothesisDifferential:
         # alongside the numeric parity.
         st.sampled_from([337, 6]),
     )
-    def test_three_paths_agree_bit_for_bit(
+    def test_reference_and_kernels_agree_bit_for_bit(
         self, net_strat, tile_shared, detailed, tiles_per_bank
     ):
         network, strategy = net_strat
         config = HardwareConfig(tiles_per_bank=tiles_per_bank)
-        results = [
+        expected, actual = (
             outcome(
                 sim_factory(config),
                 network,
@@ -110,11 +99,11 @@ class TestHypothesisDifferential:
                 tile_shared=tile_shared,
                 detailed=detailed,
             )
-            for sim_factory in (reference_sim, scalar_sim, vector_sim)
-        ]
+            for sim_factory in (reference_sim, vector_sim)
+        )
         # Plain ==: SystemMetrics is a frozen dataclass of floats/ints,
         # so equality here means every field is bit-identical.
-        assert results[0] == results[1] == results[2]
+        assert actual == expected
 
     @settings(max_examples=30, deadline=None)
     @given(network_and_strategy())
@@ -178,7 +167,7 @@ class TestBatchedEvaluateMany:
     def test_matches_serial_with_duplicates(self, lenet_net):
         batch = self.batch_for(lenet_net) * 2  # every strategy twice
         serial = [
-            Simulator(vectorize=False).try_evaluate(
+            Simulator().try_evaluate(
                 lenet_net, s, detailed=False
             )
             for s in batch
@@ -188,7 +177,7 @@ class TestBatchedEvaluateMany:
     def test_cache_protocol_matches_serial(self, lenet_net):
         """Hit/miss/size counters replicate the serial loop exactly."""
         batch = self.batch_for(lenet_net, count=6) * 3
-        serial_sim = Simulator(vectorize=False)
+        serial_sim = Simulator()
         for s in batch:
             serial_sim.try_evaluate(lenet_net, s, detailed=False)
         batched_sim = Simulator()
