@@ -3,9 +3,10 @@
 The cost path mixes nanojoules, nanoseconds, nanowatts, square microns,
 bytes, and plain counts in ordinary Python floats; nothing at runtime
 stops ``energy_nj + latency_ns`` from producing a well-formed number
-with no meaning.  This pass runs a small abstract interpreter over the
-cost-model modules, tracking *physical units* instead of values, and
-flags dimensional nonsense statically.
+with no meaning.  This pass runs the shared
+:class:`~repro.analysis.walker.Walker` over the cost-model modules with
+a lattice of *physical units* instead of values, and flags dimensional
+nonsense statically.
 
 Unit facts come from three sources, in priority order per name:
 
@@ -50,18 +51,17 @@ from __future__ import annotations
 
 import ast
 import math
-import re
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-from .callgraph import ModuleIndex, ModuleInfo
 from .invariants import UNI001, UNI002, UNI003, UNI004, UNI005, Diagnostic
-
-_SUPPRESS_RE = re.compile(r"#\s*unit-ok:\s*(UNI\d{3})")
+from .walker import Walker, scan
 
 #: A unit is a sorted tuple of (dimension, exponent) pairs; ``()`` is
-#: dimensionless and ``None`` is unknown.
-Unit = "tuple[tuple[str, int], ...]"
+#: dimensionless and ``Unit | None`` uses ``None`` for unknown.
+Unit = tuple[tuple[str, int], ...]
 
 #: Spec atoms that mean "dimensionless" — interchangeable with each
 #: other and polymorphic against every real dimension.
@@ -81,25 +81,28 @@ SUFFIX_UNITS: tuple[tuple[str, str], ...] = (
     ("_fraction", "1"),
 )
 
-#: The modules the cost path flows through — the analysis scope.
-SCOPE_MODULES: tuple[tuple[str, str], ...] = (
-    ("repro.arch.config", "arch/config.py"),
-    ("repro.core.allocation.summary", "core/allocation/summary.py"),
-    ("repro.obs.metrics", "obs/metrics.py"),
-    ("repro.sim.area", "sim/area.py"),
-    ("repro.sim.energy", "sim/energy.py"),
-    ("repro.sim.kernels", "sim/kernels.py"),
-    ("repro.sim.latency", "sim/latency.py"),
-    ("repro.sim.metrics", "sim/metrics.py"),
-    ("repro.sim.simulator", "sim/simulator.py"),
-    ("repro.sim.units_constants", "sim/units_constants.py"),
+#: The modules the cost path flows through — the analysis scope, as
+#: paths relative to the ``repro`` package root.
+SCOPE_MODULES: tuple[str, ...] = (
+    "arch/config.py",
+    "core/allocation/summary.py",
+    "obs/metrics.py",
+    "sim/area.py",
+    "sim/energy.py",
+    "sim/kernels.py",
+    "sim/latency.py",
+    "sim/metrics.py",
+    "sim/simulator.py",
+    "sim/units_constants.py",
 )
+#: The scope module whose constants are checked against CONVERSION_UNITS.
+CONVERSIONS_MODULE = "sim/units_constants.py"
 
 
 # ----------------------------------------------------------------------
 # Unit algebra
 # ----------------------------------------------------------------------
-def parse_unit(spec: str) -> tuple:
+def parse_unit(spec: str) -> Unit:
     """Parse a unit spec (``"nJ"``, ``"nJ/(nW*ns)"``, ``"count"``).
 
     ``*`` composes, the first ``/`` divides (everything after any ``/``
@@ -118,7 +121,7 @@ def parse_unit(spec: str) -> tuple:
     return tuple(sorted((d, e) for d, e in exps.items() if e))
 
 
-def format_unit(unit: tuple | None) -> str:
+def format_unit(unit: Unit | None) -> str:
     """Human-readable form: ``None`` -> ``"?"``, ``()`` -> ``"1"``."""
     if unit is None:
         return "?"
@@ -133,7 +136,7 @@ def format_unit(unit: tuple | None) -> str:
     return f"{head}/{tail}"
 
 
-def unit_mul(a: tuple | None, b: tuple | None) -> tuple | None:
+def unit_mul(a: Unit | None, b: Unit | None) -> Unit | None:
     """Compose units under multiplication.
 
     One unknown operand passes the *known, dimensioned* side through
@@ -150,31 +153,31 @@ def unit_mul(a: tuple | None, b: tuple | None) -> tuple | None:
     return tuple(sorted((d, e) for d, e in exps.items() if e))
 
 
-def unit_inv(a: tuple | None) -> tuple | None:
+def unit_inv(a: Unit | None) -> Unit | None:
     if a is None:
         return None
     return tuple(sorted((d, -e) for d, e in a))
 
 
-def unit_div(a: tuple | None, b: tuple | None) -> tuple | None:
+def unit_div(a: Unit | None, b: Unit | None) -> Unit | None:
     return unit_mul(a, unit_inv(b))
 
 
-def unit_pow(a: tuple | None, n: int) -> tuple | None:
+def unit_pow(a: Unit | None, n: int) -> Unit | None:
     if a is None:
         return None
     exps = {d: e * n for d, e in a}
     return tuple(sorted((d, e) for d, e in exps.items() if e))
 
 
-def units_conflict(a: tuple | None, b: tuple | None) -> bool:
+def units_conflict(a: Unit | None, b: Unit | None) -> bool:
     """Two *known, dimensioned, different* units — the only combination
     that is positive evidence of nonsense.  Unknown (``None``) and
     dimensionless (``()``) are polymorphic and never conflict."""
     return bool(a) and bool(b) and a != b
 
 
-def suffix_unit(name: str) -> tuple | None:
+def suffix_unit(name: str) -> Unit | None:
     """Unit declared by a name's suffix, or ``None``."""
     low = name.lower()
     for suffix, spec in SUFFIX_UNITS:
@@ -191,14 +194,14 @@ class UnitTables:
     """Parsed unit declarations the interpreter resolves names against."""
 
     #: class name -> field/property name -> unit (from UNIT_TABLE)
-    classes: dict[str, dict[str, tuple]]
+    classes: dict[str, dict[str, Unit]]
     #: attribute-name fallback: the union over all classes, with names
     #: whose declared units disagree across classes dropped entirely
-    attrs: dict[str, tuple]
+    attrs: dict[str, Unit]
     #: conversion-constant name -> unit (from CONVERSION_UNITS)
-    conversions: dict[str, tuple]
+    conversions: dict[str, Unit]
     #: obs counter stream name -> unit (from UNIT_TABLE["obs.streams"])
-    streams: dict[str, tuple]
+    streams: dict[str, Unit]
 
 
 def load_tables() -> UnitTables:
@@ -211,15 +214,15 @@ def load_tables() -> UnitTables:
     from ..arch.config import UNIT_TABLE
     from ..sim.units_constants import CONVERSION_UNITS
 
-    classes: dict[str, dict[str, tuple]] = {}
-    streams: dict[str, tuple] = {}
+    classes: dict[str, dict[str, Unit]] = {}
+    streams: dict[str, Unit] = {}
     for cls_name, fields_map in UNIT_TABLE.items():
         parsed = {f: parse_unit(u) for f, u in fields_map.items()}
         if cls_name == "obs.streams":
             streams = parsed
         else:
             classes[cls_name] = parsed
-    attrs: dict[str, tuple] = {}
+    attrs: dict[str, Unit] = {}
     conflicted: set[str] = set()
     for fields_map in classes.values():
         for name, unit in fields_map.items():
@@ -235,7 +238,7 @@ def load_tables() -> UnitTables:
 
 
 # ----------------------------------------------------------------------
-# The abstract interpreter
+# Transfer functions
 # ----------------------------------------------------------------------
 #: builtins / helpers that return their first argument's unit unchanged
 _PRESERVE_BUILTINS = frozenset({"float", "int", "abs", "round", "left_fold"})
@@ -265,29 +268,19 @@ def _is_numeric_annotation(ann: ast.expr | None) -> bool:
     return text.startswith("tuple[int") or text.startswith("tuple[float")
 
 
-class _Checker:
+class _UnitWalker(Walker["Unit | None"]):
     """One module's dimensional walk."""
 
+    tag = "unit"
+    top = None
+
     def __init__(self, source: str, rel_path: str, tables: UnitTables) -> None:
-        self.rel_path = rel_path
+        super().__init__(source, rel_path)
         self.tables = tables
-        self.tree = ast.parse(source, filename=rel_path)
-        self.diags: list[Diagnostic] = []
-        self.suppressed: dict[int, set[str]] = {}
-        for lineno, line in enumerate(source.splitlines(), start=1):
-            rules = set(_SUPPRESS_RE.findall(line))
-            if rules:
-                self.suppressed[lineno] = rules
-        #: local names bound to the numpy module
-        self.np_names: set[str] = set()
         #: module-level string constants (stream-name resolution, UNI005)
         self.str_constants: dict[str, str] = {}
         for node in self.tree.body:
-            if isinstance(node, ast.Import):
-                for alias in node.names:
-                    if alias.name == "numpy":
-                        self.np_names.add(alias.asname or "numpy")
-            elif (
+            if (
                 isinstance(node, ast.Assign)
                 and len(node.targets) == 1
                 and isinstance(node.targets[0], ast.Name)
@@ -304,29 +297,13 @@ class _Checker:
                 self.str_constants[node.target.id] = node.value.value
         #: class currently being walked (for self.<field> resolution)
         self.cls_name: str | None = None
+        #: the function being walked and its declared return unit (UNI004)
+        self.func_name = ""
+        self.return_unit: Unit | None = None
 
-    # -- driver --------------------------------------------------------
-    def run(self) -> list[Diagnostic]:
+    def findings(self) -> list[Diagnostic]:
         self._check_classes()
-        module_env: dict[str, tuple] = {}
-        for stmt in self.tree.body:
-            self._stmt(stmt, module_env)
-        self.diags.sort(key=lambda d: (d.rule_id, d.location, d.message))
-        return self.diags
-
-    def _flag(
-        self,
-        rule,
-        lineno: int,
-        message: str,
-        hint: str = "",
-        data: tuple[tuple[str, str], ...] = (),
-    ) -> None:
-        if rule.rule_id in self.suppressed.get(lineno, set()):
-            return
-        self.diags.append(
-            rule.diag(f"{self.rel_path}:{lineno}", message, hint=hint, data=data)
-        )
+        return super().findings()
 
     # -- UNI002: class field coverage ----------------------------------
     def _check_classes(self) -> None:
@@ -381,177 +358,81 @@ class _Checker:
                     hint="drop the stale entry or restore the field",
                 )
 
-    # -- statements ----------------------------------------------------
-    def _stmt(self, node: ast.stmt, env: dict[str, tuple]) -> None:
-        if isinstance(node, ast.Assign):
-            self._assign(node, env)
-        elif isinstance(node, ast.AnnAssign):
-            unit = self._infer(node.value, env) if node.value else None
-            if isinstance(node.target, ast.Name):
-                self._bind_name(node.target.id, unit, env, node.lineno)
-        elif isinstance(node, ast.AugAssign):
-            self._augassign(node, env)
-        elif isinstance(node, ast.Return):
-            self._return(node, env)
-        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            self._check_function(node)
-        elif isinstance(node, ast.ClassDef):
-            outer = self.cls_name
-            self.cls_name = node.name
-            for stmt in node.body:
-                self._stmt(stmt, {})
+    # -- scopes and bindings -------------------------------------------
+    @contextmanager
+    def enter_function(
+        self, node: ast.FunctionDef | ast.AsyncFunctionDef
+    ) -> Iterator[dict[str, Unit | None]]:
+        outer = (self.func_name, self.return_unit)
+        declared = suffix_unit(node.name)
+        if declared is None and self.cls_name is not None:
+            declared = self.tables.classes.get(self.cls_name, {}).get(node.name)
+        self.func_name, self.return_unit = node.name, declared
+        try:
+            yield {}
+        finally:
+            self.func_name, self.return_unit = outer
+
+    @contextmanager
+    def enter_class(self, node: ast.ClassDef) -> Iterator[None]:
+        outer = self.cls_name
+        self.cls_name = node.name
+        try:
+            yield
+        finally:
             self.cls_name = outer
-        elif isinstance(node, (ast.If, ast.While)):
-            self._infer(node.test, env)
-            for stmt in node.body + node.orelse:
-                self._stmt(stmt, env)
-        elif isinstance(node, ast.For):
-            self._infer(node.iter, env)
-            for name in _target_names(node.target):
-                env.pop(name, None)
-            for stmt in node.body + node.orelse:
-                self._stmt(stmt, env)
-        elif isinstance(node, ast.With):
-            for item in node.items:
-                self._infer(item.context_expr, env)
-            for stmt in node.body:
-                self._stmt(stmt, env)
-        elif isinstance(node, ast.Try):
-            for stmt in node.body + node.orelse + node.finalbody:
-                self._stmt(stmt, env)
-            for handler in node.handlers:
-                for stmt in handler.body:
-                    self._stmt(stmt, env)
-        elif isinstance(node, ast.Expr):
-            self._infer(node.value, env)
-        elif isinstance(node, (ast.Raise, ast.Assert)):
-            for child in ast.iter_child_nodes(node):
-                if isinstance(child, ast.expr):
-                    self._infer(child, env)
 
-    def _assign(self, node: ast.Assign, env: dict[str, tuple]) -> None:
-        # Elementwise tuple-assign keeps each binding precise:
-        # ``energy, latency_ns = e_nj, t_ns``.
-        if (
-            len(node.targets) == 1
-            and isinstance(node.targets[0], ast.Tuple)
-            and isinstance(node.value, ast.Tuple)
-            and len(node.targets[0].elts) == len(node.value.elts)
-        ):
-            for tgt, val in zip(node.targets[0].elts, node.value.elts):
-                unit = self._infer(val, env)
-                if isinstance(tgt, ast.Name):
-                    self._bind_name(tgt.id, unit, env, node.lineno)
-                else:
-                    for name in _target_names(tgt):
-                        env.pop(name, None)
-            return
-        unit = self._infer(node.value, env)
-        for target in node.targets:
-            if isinstance(target, ast.Name):
-                self._bind_name(target.id, unit, env, node.lineno)
-            else:
-                for name in _target_names(target):
-                    env.pop(name, None)
-
-    def _augassign(self, node: ast.AugAssign, env: dict[str, tuple]) -> None:
-        value = self._infer(node.value, env)
-        current = (
-            self._name_unit(node.target.id, env)
-            if isinstance(node.target, ast.Name)
-            else self._infer(node.target, env)
-        )
-        if isinstance(node.op, (ast.Add, ast.Sub)):
-            result = self._merge_add(current, value, node.lineno,
-                                     "augmented add/sub")
-        elif isinstance(node.op, ast.Mult):
-            result = unit_mul(current, value)
-        elif isinstance(node.op, (ast.Div, ast.FloorDiv)):
-            result = unit_div(current, value)
-        else:
-            result = None
-        if isinstance(node.target, ast.Name):
-            self._bind_name(node.target.id, result, env, node.lineno)
-
-    def _bind_name(
-        self, name: str, unit: tuple | None, env: dict[str, tuple], lineno: int
+    def bind(
+        self, name: str, value: Unit | None, env: dict[str, Unit | None], lineno: int
     ) -> None:
         declared = self._declared_for_name(name)
         if declared is not None:
-            if units_conflict(declared, unit):
+            if units_conflict(declared, value):
                 self._flag(
                     UNI004,
                     lineno,
                     f"'{name}' declares unit {format_unit(declared)} but is "
-                    f"bound to a value of unit {format_unit(unit)}",
+                    f"bound to a value of unit {format_unit(value)}",
                     hint="convert the value or rename the variable",
                     data=(
-                        ("inferred", format_unit(unit)),
+                        ("inferred", format_unit(value)),
                         ("declared", format_unit(declared)),
                     ),
                 )
             env[name] = declared  # the declaration wins downstream
-        elif unit is not None:
-            env[name] = unit
+        elif value is not None:
+            env[name] = value
         else:
             env.pop(name, None)
 
-    def _return(self, node: ast.Return, env: dict[str, tuple]) -> None:
-        inferred = self._infer(node.value, env) if node.value else None
-        declared = self._current_return_unit
-        if units_conflict(declared, inferred):
+    def on_return(self, node: ast.Return, value: Unit | None) -> None:
+        declared = self.return_unit
+        if units_conflict(declared, value):
             self._flag(
                 UNI004,
                 node.lineno,
-                f"'{self._current_func}' declares return unit "
-                f"{format_unit(declared)} but returns "
-                f"{format_unit(inferred)}",
+                f"'{self.func_name}' declares return unit "
+                f"{format_unit(declared)} but returns {format_unit(value)}",
                 hint="convert the value or rename the function",
                 data=(
-                    ("inferred", format_unit(inferred)),
+                    ("inferred", format_unit(value)),
                     ("declared", format_unit(declared)),
                 ),
             )
 
-    _current_return_unit: tuple | None = None
-    _current_func: str = ""
-
-    def _check_function(self, node: ast.FunctionDef | ast.AsyncFunctionDef) -> None:
-        env: dict[str, tuple] = {}
-        args = node.args
-        for arg in (
-            list(args.posonlyargs) + list(args.args) + list(args.kwonlyargs)
-        ):
-            declared = self._declared_for_name(arg.arg)
-            if declared is not None:
-                env[arg.arg] = declared
-        outer_ret = self._current_return_unit
-        outer_func = self._current_func
-        declared_ret = suffix_unit(node.name)
-        if declared_ret is None and self.cls_name is not None:
-            declared_ret = self.tables.classes.get(self.cls_name, {}).get(node.name)
-        self._current_return_unit = declared_ret
-        self._current_func = node.name
-        outer_cls = self.cls_name
-        for stmt in node.body:
-            self._stmt(stmt, env)
-        self.cls_name = outer_cls
-        self._current_return_unit = outer_ret
-        self._current_func = outer_func
-
     # -- name / attribute resolution -----------------------------------
-    def _declared_for_name(self, name: str) -> tuple | None:
+    def _declared_for_name(self, name: str) -> Unit | None:
         declared = self.tables.conversions.get(name)
         if declared is None:
             declared = suffix_unit(name)
         return declared
 
-    def _name_unit(self, name: str, env: dict[str, tuple]) -> tuple | None:
+    def name(self, name: str, env: dict[str, Unit | None]) -> Unit | None:
         if name in env:
             return env[name]
         return self._declared_for_name(name)
 
-    def _attr_unit(self, node: ast.Attribute) -> tuple | None:
+    def attribute(self, node: ast.Attribute, base: Unit | None) -> Unit | None:
         unit = suffix_unit(node.attr)
         if (
             unit is None
@@ -565,9 +446,17 @@ class _Checker:
         return unit
 
     # -- expressions ---------------------------------------------------
+    def join(self, a: Unit | None, b: Unit | None) -> Unit | None:
+        if a == b:
+            return a
+        if a is None or b is None:
+            known = a if b is None else b
+            return known if known else None
+        return None
+
     def _merge_add(
-        self, a: tuple | None, b: tuple | None, lineno: int, kind: str
-    ) -> tuple | None:
+        self, a: Unit | None, b: Unit | None, lineno: int, kind: str
+    ) -> Unit | None:
         if units_conflict(a, b):
             self._flag(
                 UNI001,
@@ -585,7 +474,7 @@ class _Checker:
         return a
 
     def _bare_conversion(
-        self, node: ast.expr, other: tuple | None, lineno: int
+        self, node: ast.expr, other: Unit | None, lineno: int
     ) -> None:
         if not isinstance(node, ast.Constant):
             return
@@ -608,215 +497,127 @@ class _Checker:
             "it in CONVERSION_UNITS",
         )
 
-    def _infer(self, node: ast.expr | None, env: dict[str, tuple]) -> tuple | None:
-        if node is None:
-            return None
-        if isinstance(node, ast.Constant):
-            return None  # literals are unit-polymorphic
-        if isinstance(node, ast.Name):
-            return self._name_unit(node.id, env)
-        if isinstance(node, ast.Attribute):
-            self._infer(node.value, env)
-            return self._attr_unit(node)
-        if isinstance(node, ast.BinOp):
-            return self._binop(node, env)
-        if isinstance(node, ast.UnaryOp):
-            inner = self._infer(node.operand, env)
-            if isinstance(node.op, ast.Not):
-                return ()
-            return inner
-        if isinstance(node, ast.Compare):
-            running = self._infer(node.left, env)
-            for op, comparator in zip(node.ops, node.comparators):
-                other = self._infer(comparator, env)
-                if isinstance(
-                    op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
-                ):
-                    running = self._merge_add(
-                        running, other, node.lineno, "comparison"
-                    )
-                else:
-                    running = None
-            return ()
-        if isinstance(node, ast.BoolOp):
-            units = [self._infer(v, env) for v in node.values]
-            first = units[0]
-            return first if all(u == first for u in units) else None
-        if isinstance(node, ast.IfExp):
-            self._infer(node.test, env)
-            body = self._infer(node.body, env)
-            orelse = self._infer(node.orelse, env)
-            if body == orelse:
-                return body
-            if body is None or orelse is None:
-                known = body if orelse is None else orelse
-                return known if known else None
-            return None
-        if isinstance(node, ast.Call):
-            return self._call(node, env)
-        if isinstance(node, ast.Subscript):
-            # Indexing an array/sequence of X yields X.
-            unit = self._infer(node.value, env)
-            self._infer(node.slice, env)
-            return unit
-        if isinstance(node, ast.Starred):
-            return self._infer(node.value, env)
-        if isinstance(node, ast.JoinedStr):
-            for value in node.values:
-                if isinstance(value, ast.FormattedValue):
-                    self._infer(value.value, env)
-            return None
-        if isinstance(node, (ast.GeneratorExp, ast.ListComp, ast.SetComp)):
-            self._comp_elt_unit(node, env)
-            return None
-        if isinstance(node, ast.DictComp):
-            child = self._comp_env(node.generators, env)
-            self._infer(node.key, child)
-            self._infer(node.value, child)
-            return None
-        if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
-            for elt in node.elts:
-                self._infer(elt, env)
-            return None
-        if isinstance(node, ast.Dict):
-            for value in node.values:
-                self._infer(value, env)
-            return None
-        return None
+    def unary(self, node: ast.UnaryOp, operand: Unit | None) -> Unit | None:
+        return () if isinstance(node.op, ast.Not) else operand
 
-    def _binop(self, node: ast.BinOp, env: dict[str, tuple]) -> tuple | None:
-        left = self._infer(node.left, env)
-        right = self._infer(node.right, env)
-        if isinstance(node.op, (ast.Add, ast.Sub)):
+    def boolop(self, node: ast.BoolOp, values: list[Unit | None]) -> Unit | None:
+        first = values[0]
+        return first if all(u == first for u in values) else None
+
+    def compare(self, node: ast.Compare, operands: list[Unit | None]) -> Unit | None:
+        running = operands[0]
+        for op, other in zip(node.ops, operands[1:]):
+            if isinstance(op, (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)):
+                running = self._merge_add(running, other, node.lineno, "comparison")
+            else:
+                running = None
+        return ()
+
+    def subscript(self, node: ast.Subscript, base: Unit | None) -> Unit | None:
+        return base  # indexing an array/sequence of X yields X
+
+    def binop(
+        self, node: ast.BinOp | ast.AugAssign, left: Unit | None, right: Unit | None
+    ) -> Unit | None:
+        op = node.op
+        if isinstance(node, ast.AugAssign):
+            if isinstance(op, (ast.Add, ast.Sub)):
+                return self._merge_add(left, right, node.lineno, "augmented add/sub")
+            if isinstance(op, ast.Mult):
+                return unit_mul(left, right)
+            if isinstance(op, (ast.Div, ast.FloorDiv)):
+                return unit_div(left, right)
+            return None
+        if isinstance(op, (ast.Add, ast.Sub)):
             return self._merge_add(
                 left, right, node.lineno,
-                "addition" if isinstance(node.op, ast.Add) else "subtraction",
+                "addition" if isinstance(op, ast.Add) else "subtraction",
             )
-        if isinstance(node.op, ast.Mult):
+        if isinstance(op, ast.Mult):
             self._bare_conversion(node.left, right, node.lineno)
             self._bare_conversion(node.right, left, node.lineno)
             return unit_mul(left, right)
-        if isinstance(node.op, (ast.Div, ast.FloorDiv)):
+        if isinstance(op, (ast.Div, ast.FloorDiv)):
             self._bare_conversion(node.right, left, node.lineno)
             return unit_div(left, right)
-        if isinstance(node.op, ast.Mod):
+        if isinstance(op, ast.Mod):
             if left == right:
                 return left
             return left if right is None else None
-        if isinstance(node.op, ast.Pow):
+        if isinstance(op, ast.Pow):
             if isinstance(node.right, ast.Constant) and isinstance(
                 node.right.value, int
             ):
                 return unit_pow(left, node.right.value)
             return () if left == () else None
-        if isinstance(node.op, ast.MatMult):
+        if isinstance(op, ast.MatMult):
             return unit_mul(left, right)
         return None
 
-    def _comp_env(
-        self, generators: list[ast.comprehension], env: dict[str, tuple]
-    ) -> dict[str, tuple]:
-        child = dict(env)
-        for gen in generators:
-            self._infer(gen.iter, env)
-            for name in _target_names(gen.target):
-                child.pop(name, None)
-        return child
-
-    def _comp_elt_unit(
+    def call(
         self,
-        node: "ast.GeneratorExp | ast.ListComp | ast.SetComp",
-        env: dict[str, tuple],
-    ) -> tuple | None:
-        child = self._comp_env(node.generators, env)
-        return self._infer(node.elt, child)
-
-    def _call(self, node: ast.Call, env: dict[str, tuple]) -> tuple | None:
+        node: ast.Call,
+        receiver: Unit | None,
+        args: list[Unit | None],
+        keywords: list[tuple[str | None, Unit | None]],
+        env: dict[str, Unit | None],
+    ) -> Unit | None:
         func = node.func
         # --- UNI005: tracer stream emission -------------------------------
-        if (
-            isinstance(func, ast.Attribute)
-            and func.attr == "counter"
-            and len(node.args) >= 2
-        ):
-            self._infer(func.value, env)
-            self._infer(node.args[0], env)
-            for extra in node.args[2:]:
-                self._infer(extra, env)
-            for kw in node.keywords:
-                self._infer(kw.value, env)
-            self._counter_call(node, env)
+        if isinstance(func, ast.Attribute) and func.attr == "counter" and len(args) >= 2:
+            self._counter_call(node, args[1])
             return None
         # --- min/max/np.minimum/np.maximum/np.where: unit merge -----------
         if isinstance(func, ast.Name) and func.id in ("min", "max"):
-            return self._merge_args(node.args, env, node.lineno, func.id)
-        if (
-            isinstance(func, ast.Attribute)
-            and isinstance(func.value, ast.Name)
-            and func.value.id in self.np_names
-        ):
-            return self._np_call(func.attr, node, env)
-        arg_units = [self._infer(a, env) for a in node.args]
-        self._keyword_check(node, env)
+            return self._merge_all(args, node.lineno, func.id)
+        self._keyword_check(node, keywords)
+        np_name = self.np_attr(node)
+        if np_name is not None:
+            return self._np_call(np_name, node, args)
         if isinstance(func, ast.Name):
             name = func.id
             if name in _PRESERVE_BUILTINS:
-                return arg_units[0] if arg_units else None
+                return args[0] if args else None
             if name == "sum" and node.args:
                 first = node.args[0]
                 if isinstance(first, (ast.GeneratorExp, ast.ListComp)):
-                    return self._comp_elt_unit(first, env)
-                return arg_units[0]
+                    return self.comprehension(first, env)
+                return args[0]
             if name in self.tables.classes:
                 return None  # composite result object
-            return self._name_unit(name, env)
+            return receiver
         if isinstance(func, ast.Attribute):
-            receiver = self._infer(func.value, env)
             if func.attr in _METHOD_PRESERVE:
                 return receiver
-            return self._attr_unit(func)
+            return self.attribute(func, receiver)
         return None
 
     def _np_call(
-        self, attr: str, node: ast.Call, env: dict[str, tuple]
-    ) -> tuple | None:
-        arg_units = [self._infer(a, env) for a in node.args]
-        self._keyword_check(node, env)
+        self, attr: str, node: ast.Call, args: list[Unit | None]
+    ) -> Unit | None:
         if attr in ("minimum", "maximum"):
-            return self._merge_args(node.args, env, node.lineno, f"np.{attr}",
-                                    precomputed=arg_units)
+            return self._merge_all(args, node.lineno, f"np.{attr}")
         if attr == "where":
-            return self._merge_args(
-                node.args[1:], env, node.lineno, "np.where",
-                precomputed=arg_units[1:],
-            )
+            return self._merge_all(args[1:], node.lineno, "np.where")
         if attr == "dot":
-            if len(arg_units) >= 2:
-                return unit_mul(arg_units[0], arg_units[1])
+            if len(args) >= 2:
+                return unit_mul(args[0], args[1])
             return None
         if attr in _NP_PRESERVE:
-            return arg_units[0] if arg_units else None
+            return args[0] if args else None
         return None
 
-    def _merge_args(
-        self,
-        args: list[ast.expr],
-        env: dict[str, tuple],
-        lineno: int,
-        kind: str,
-        precomputed: "list[tuple | None] | None" = None,
-    ) -> tuple | None:
-        units = (
-            precomputed
-            if precomputed is not None
-            else [self._infer(a, env) for a in args]
-        )
-        running: tuple | None = None
+    def _merge_all(
+        self, units: list[Unit | None], lineno: int, kind: str
+    ) -> Unit | None:
+        running: Unit | None = None
         for unit in units:
             running = self._merge_add(running, unit, lineno, kind)
         return running
 
-    def _keyword_check(self, node: ast.Call, env: dict[str, tuple]) -> None:
+    def _keyword_check(
+        self, node: ast.Call, keywords: list[tuple[str | None, Unit | None]]
+    ) -> None:
         """UNI004 on constructor/call keywords with declared units."""
         callee = None
         if isinstance(node.func, ast.Name):
@@ -824,18 +625,17 @@ class _Checker:
         elif isinstance(node.func, ast.Attribute):
             callee = node.func.attr
         table = self.tables.classes.get(callee or "", {})
-        for kw in node.keywords:
-            inferred = self._infer(kw.value, env)
-            if kw.arg is None:
+        for arg, inferred in keywords:
+            if arg is None:
                 continue
-            declared = table.get(kw.arg)
+            declared = table.get(arg)
             if declared is None:
-                declared = suffix_unit(kw.arg)
+                declared = suffix_unit(arg)
             if units_conflict(declared, inferred):
                 self._flag(
                     UNI004,
                     node.lineno,
-                    f"keyword '{kw.arg}' of {callee or 'call'} declares unit "
+                    f"keyword '{arg}' of {callee or 'call'} declares unit "
                     f"{format_unit(declared)} but receives "
                     f"{format_unit(inferred)}",
                     hint="convert the value before passing it",
@@ -845,7 +645,7 @@ class _Checker:
                     ),
                 )
 
-    def _counter_call(self, node: ast.Call, env: dict[str, tuple]) -> None:
+    def _counter_call(self, node: ast.Call, inferred: Unit | None) -> None:
         stream_node = node.args[0]
         stream: str | None = None
         if isinstance(stream_node, ast.Constant) and isinstance(
@@ -857,7 +657,6 @@ class _Checker:
         if stream is None:
             return
         declared = self.tables.streams.get(stream)
-        inferred = self._infer(node.args[1], env)
         if units_conflict(declared, inferred):
             self._flag(
                 UNI005,
@@ -873,19 +672,6 @@ class _Checker:
             )
 
 
-def _target_names(node: ast.expr) -> list[str]:
-    if isinstance(node, ast.Name):
-        return [node.id]
-    if isinstance(node, (ast.Tuple, ast.List)):
-        names: list[str] = []
-        for elt in node.elts:
-            names.extend(_target_names(elt))
-        return names
-    if isinstance(node, ast.Starred):
-        return _target_names(node.value)
-    return []
-
-
 # ----------------------------------------------------------------------
 # Entry points
 # ----------------------------------------------------------------------
@@ -895,16 +681,18 @@ def units_findings(
     """Run the dimensional walk over one module's source text."""
     if tables is None:
         tables = load_tables()
-    return _Checker(source, rel_path, tables).run()
+    return _UnitWalker(source, rel_path, tables).findings()
 
 
-def _conversion_drift(mod: ModuleInfo, rel: str, tables: UnitTables) -> list[Diagnostic]:
+def _conversion_drift(
+    tree: ast.Module, rel: str, tables: UnitTables
+) -> list[Diagnostic]:
     """UNI002 both ways between CONVERSION_UNITS and the module's
     numeric constants — an undeclared conversion factor is exactly as
     unverifiable as a bare literal."""
     present: dict[str, int] = {}
     table_lineno = 1
-    for node in mod.node.body:
+    for node in tree.body:
         target = None
         value = None
         if isinstance(node, ast.Assign) and len(node.targets) == 1:
@@ -949,27 +737,25 @@ def analyze_units(root: Path | None = None) -> list[Diagnostic]:
 
     ``root`` defaults to the installed ``repro`` package directory; pass
     a fixture tree (or ``repro check --units --source <dir>``) to scan
-    another layout with the same module paths.  The unit *declarations*
+    another layout with the same module paths.  Only the
+    :data:`SCOPE_MODULES` files are read.  The unit *declarations*
     (UNIT_TABLE, CONVERSION_UNITS) always come from the installed
     package — the contract is fixed; only the scanned sources vary.
     Raises :class:`ValueError` when none of the scope modules exist
     under ``root`` — a silent no-op would report a clean bill it never
     earned.
     """
-    base = root if root is not None else Path(__file__).resolve().parent.parent
-    tables = load_tables()
-    index = ModuleIndex.from_package(Path(base), "repro")
-    diagnostics: list[Diagnostic] = []
-    found = False
-    for dotted, rel in SCOPE_MODULES:
-        module = index.modules.get(dotted)
-        if module is None:
-            continue
-        found = True
-        diagnostics.extend(units_findings(module.source, rel, tables=tables))
-        if dotted == "repro.sim.units_constants":
-            diagnostics.extend(_conversion_drift(module, rel, tables))
-    if not found:
+    base = Path(root) if root is not None else Path(__file__).resolve().parent.parent
+    paths = [base / rel for rel in SCOPE_MODULES if (base / rel).is_file()]
+    if not paths:
         raise ValueError(f"no cost-model modules to analyze under {base}")
-    diagnostics.sort(key=lambda d: (d.rule_id, d.location, d.message))
-    return diagnostics
+    tables = load_tables()
+
+    def module_findings(source: str, rel: str) -> list[Diagnostic]:
+        walker = _UnitWalker(source, rel, tables)
+        diagnostics = walker.findings()
+        if rel == CONVERSIONS_MODULE:
+            diagnostics.extend(_conversion_drift(walker.tree, rel, tables))
+        return diagnostics
+
+    return scan(base, paths, module_findings)
