@@ -28,6 +28,7 @@ Commands
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import contextmanager
 
@@ -109,14 +110,44 @@ def _run_all(args) -> None:
     print(summarize_suite(doc))
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts that must be at least 1."""
+def _bounded_int(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts that must be at least 1."""
+    return _bounded_int(text, 1)
+
+
+def _seed(text: str) -> int:
+    """argparse type for an RNG seed: a non-negative integer."""
+    return _bounded_int(text, 0)
+
+
+def _seed_list(text: str) -> tuple[int, ...]:
+    """argparse type for ``--seeds``: a non-empty comma-separated list of
+    non-negative integer seeds."""
+    if not text.strip():
+        raise argparse.ArgumentTypeError("empty seed list")
+    return tuple(_seed(part) for part in text.split(","))
+
+
+def _positive_seconds(text: str) -> float:
+    """argparse type for a duration: a finite number of seconds > 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value) or value <= 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number > 0, got {text!r}"
+        )
     return value
 
 
@@ -129,10 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_search = sub.add_parser("search", help="run the AutoHet RL search")
     p_search.add_argument("model", help="workload name (see `models`)")
-    p_search.add_argument("--rounds", type=int, default=300)
-    p_search.add_argument("--seed", type=int, default=0)
+    p_search.add_argument("--rounds", type=_positive_int, default=300)
+    p_search.add_argument("--seed", type=_seed, default=0)
     p_search.add_argument(
-        "--seeds", default=None, metavar="LIST",
+        "--seeds", type=_seed_list, default=None, metavar="LIST",
         help="comma-separated RL seeds for a multi-seed search, e.g. "
              "'0,1,2' (overrides --seed); serial seeds share one "
              "evaluation cache",
@@ -162,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="regenerate a paper figure/table")
     p_exp.add_argument("name", choices=sorted(EXPERIMENTS))
-    p_exp.add_argument("--rounds", type=int, default=None)
-    p_exp.add_argument("--seed", type=int, default=0)
+    p_exp.add_argument("--rounds", type=_positive_int, default=None)
+    p_exp.add_argument("--seed", type=_seed, default=0)
     p_exp.add_argument(
         "--export", default=None, metavar="PATH",
         help="also write the experiment's records to PATH "
@@ -186,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", required=True, metavar="PATH",
         help="JSONL file the trace records are written to",
     )
-    t_run.add_argument("--rounds", type=int, default=60)
-    t_run.add_argument("--seed", type=int, default=0)
+    t_run.add_argument("--rounds", type=_positive_int, default=60)
+    t_run.add_argument("--seed", type=_seed, default=0)
     t_run.add_argument(
         "--candidates", default=None,
         help="comma-separated crossbar shapes, e.g. '32x32,72x64,576x512'",
@@ -301,11 +332,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="write a JSONL observability trace (serve.* streams) to PATH",
     )
     p_serve.add_argument(
-        "--seed", type=int, default=None,
+        "--seed", type=_seed, default=None,
         help="override the scenario's arrival seed",
     )
     p_serve.add_argument(
-        "--duration-s", type=float, default=None,
+        "--duration-s", type=_positive_seconds, default=None,
         help="override the scenario horizon, in seconds",
     )
     p_serve.add_argument(
@@ -562,18 +593,17 @@ def cmd_search(args: argparse.Namespace) -> int:
     trace_path = getattr(args, "trace", None)
     with _tracing(trace_path):
         if args.seeds:
-            seeds = tuple(int(s) for s in args.seeds.split(","))
             result, per_seed = autohet_multi_seed(
                 network,
                 candidates,
-                seeds=seeds,
+                seeds=args.seeds,
                 rounds=args.rounds,
                 tile_shared=not args.no_tile_shared,
                 max_workers=args.workers,
                 verbose=args.verbose,
             )
             print(
-                f"multi-seed search over seeds {', '.join(map(str, seeds))}: "
+                f"multi-seed search over seeds {', '.join(map(str, args.seeds))}: "
                 f"best RUE per seed = "
                 f"{', '.join(f'{r.best_metrics.rue:.3e}' for r in per_seed)}"
             )

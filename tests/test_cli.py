@@ -44,6 +44,49 @@ class TestParser:
         assert "--workers" in err and "--trace" in err
         assert not (tmp_path / "t.jsonl").exists()
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["search", "lenet", "--rounds", "0"], "--rounds"),
+            (
+                ["search", "lenet", "--rounds", "0", "--seeds", "0,1",
+                 "--workers", "2"],
+                "--rounds",
+            ),
+            (["experiment", "table3", "--rounds", "-1"], "--rounds"),
+            (["trace", "run", "lenet", "--out", "X", "--rounds", "0"], "--rounds"),
+            (["search", "lenet", "--seed", "-1"], "--seed"),
+            (["experiment", "table3", "--seed", "-1"], "--seed"),
+            (["trace", "run", "lenet", "--out", "X", "--seed", "-1"], "--seed"),
+            (["serve", "two-tenant", "--seed", "-1"], "--seed"),
+            (["search", "lenet", "--seeds", "-1"], "--seeds"),
+            (["search", "lenet", "--seeds", "0,-1"], "--seeds"),
+            (["search", "lenet", "--seeds", "a,b"], "--seeds"),
+            (["search", "lenet", "--seeds", ""], "--seeds"),
+            (["search", "lenet", "--seeds", "0,,1"], "--seeds"),
+            (["serve", "two-tenant", "--duration-s", "nan"], "--duration-s"),
+            (["serve", "two-tenant", "--duration-s", "inf"], "--duration-s"),
+            (["serve", "two-tenant", "--duration-s", "0"], "--duration-s"),
+            (["serve", "two-tenant", "--duration-s", "-1"], "--duration-s"),
+            (["serve", "two-tenant", "--duration-s", "soon"], "--duration-s"),
+        ],
+    )
+    def test_bad_numeric_flag_is_an_argparse_error(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert flag in capsys.readouterr().err
+
+    def test_valid_numeric_flags_parse(self):
+        parse = build_parser().parse_args
+        args = parse(["search", "lenet", "--rounds", "3", "--seeds", "0,1,2"])
+        assert args.rounds == 3 and args.seeds == (0, 1, 2)
+        assert parse(["search", "lenet", "--seed", "0"]).seed == 0
+        assert parse(["experiment", "table3", "--rounds", "1"]).rounds == 1
+        assert parse(["trace", "run", "lenet", "--out", "X"]).rounds == 60
+        args = parse(["serve", "two-tenant", "--duration-s", "0.5", "--seed", "7"])
+        assert args.duration_s == 0.5 and args.seed == 7
+
     def test_serve_defaults(self):
         args = build_parser().parse_args(["serve", "two-tenant"])
         assert args.scenario == "two-tenant"
