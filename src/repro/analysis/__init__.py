@@ -2,7 +2,7 @@
 
 ``repro.analysis`` rejects invalid artifacts *before* anything expensive
 runs — an RL search must not burn simulator episodes on a plan that
-violates Eq. 4 bounds or Algorithm 1's accounting.  Three layers:
+violates Eq. 4 bounds or Algorithm 1's accounting.  The modules:
 
 * :mod:`repro.analysis.invariants` — the rule registry, `Diagnostic`
   results, and the shared scalar rule implementations that
@@ -15,6 +15,8 @@ violates Eq. 4 bounds or Algorithm 1's accounting.  Three layers:
 * :mod:`repro.analysis.callgraph` / :mod:`repro.analysis.dataflow` — the
   interprocedural cache-key soundness and purity analysis behind
   ``repro check --cache-safety`` (CAC/PUR rule families).
+* :mod:`repro.analysis.walker` — the intraprocedural abstract-interpretation
+  walker the numeric and units passes share; each plugs in a lattice.
 * :mod:`repro.analysis.numeric` — NumPy-aware numeric-safety pass over
   ``sim/`` behind ``repro check --numeric`` (NUM rule family).
 * :mod:`repro.analysis.kernel_parity` — scalar-vs-vectorized read-set
@@ -22,7 +24,7 @@ violates Eq. 4 bounds or Algorithm 1's accounting.  Three layers:
 * :mod:`repro.analysis.units` — dimensional analysis of the cost model
   behind ``repro check --units`` (UNI rule family).
 
-``repro check`` (see :mod:`repro.cli`) drives all three and exits
+``repro check`` (see :mod:`repro.cli`) drives all of them and exits
 nonzero on ERROR diagnostics; `docs/static_analysis.md` catalogues every
 rule id with its paper anchor.
 

@@ -95,8 +95,6 @@ SCOPE_MODULES: tuple[str, ...] = (
     "sim/simulator.py",
     "sim/units_constants.py",
 )
-#: The scope module whose constants are checked against CONVERSION_UNITS.
-CONVERSIONS_MODULE = "sim/units_constants.py"
 
 
 # ----------------------------------------------------------------------
@@ -368,19 +366,15 @@ class _UnitWalker(Walker["Unit | None"]):
         if declared is None and self.cls_name is not None:
             declared = self.tables.classes.get(self.cls_name, {}).get(node.name)
         self.func_name, self.return_unit = node.name, declared
-        try:
-            yield {}
-        finally:
-            self.func_name, self.return_unit = outer
+        yield {}
+        self.func_name, self.return_unit = outer
 
     @contextmanager
     def enter_class(self, node: ast.ClassDef) -> Iterator[None]:
         outer = self.cls_name
         self.cls_name = node.name
-        try:
-            yield
-        finally:
-            self.cls_name = outer
+        yield
+        self.cls_name = outer
 
     def bind(
         self, name: str, value: Unit | None, env: dict[str, Unit | None], lineno: int
@@ -754,7 +748,7 @@ def analyze_units(root: Path | None = None) -> list[Diagnostic]:
     def module_findings(source: str, rel: str) -> list[Diagnostic]:
         walker = _UnitWalker(source, rel, tables)
         diagnostics = walker.findings()
-        if rel == CONVERSIONS_MODULE:
+        if rel == "sim/units_constants.py":
             diagnostics.extend(_conversion_drift(walker.tree, rel, tables))
         return diagnostics
 

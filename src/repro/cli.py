@@ -33,6 +33,7 @@ import sys
 from contextlib import contextmanager
 
 from .arch.config import DEFAULT_CANDIDATES, SQUARE_CANDIDATES, CrossbarShape
+from .sim.units_constants import NS_PER_S
 from .obs import (
     JsonlSink,
     Tracer,
@@ -139,12 +140,12 @@ def _seed_list(text: str) -> tuple[int, ...]:
 
 
 def _positive_seconds(text: str) -> float:
-    """argparse type for a duration: a finite number of seconds > 0."""
+    """argparse type for a duration: seconds > 0 that stay finite in ns."""
     try:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-    if not math.isfinite(value) or value <= 0:
+    if not (value > 0 and math.isfinite(value * NS_PER_S)):
         raise argparse.ArgumentTypeError(
             f"must be a finite number > 0, got {text!r}"
         )
@@ -784,7 +785,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     if args.seed is not None:
         scenario = replace(scenario, seed=args.seed)
     if args.duration_s is not None:
-        scenario = replace(scenario, duration_ns=args.duration_s * 1e9)
+        scenario = replace(scenario, duration_ns=args.duration_s * NS_PER_S)
     if args.no_realloc:
         scenario = replace(
             scenario, realloc=replace(scenario.realloc, enabled=False)

@@ -68,25 +68,23 @@ def render(findings) -> str:
 
 class TestWalkerGolden:
     def test_findings_match_snapshot(self):
-        golden = json.loads(GOLDEN_PATH.read_text())
-        current = json.loads(render(collect()))
-        for section in golden:
-            for analyzer in golden[section]:
-                want = golden[section][analyzer]
-                got = current[section][analyzer]
-                missing = [row for row in want if row not in got]
-                extra = [row for row in got if row not in want]
-                assert got == want, (
-                    f"{section}/{analyzer} findings drifted from "
-                    f"{GOLDEN_PATH.name}:\n  missing: {missing}\n  "
-                    f"extra: {extra}\nIf the change is intended, regenerate "
-                    "with PYTHONPATH=src python "
-                    "tests/analysis/test_walker_golden.py --regen"
-                )
-        assert sorted(current) == sorted(golden)
-
-    def test_snapshot_is_byte_stable(self):
-        assert render(collect()) == GOLDEN_PATH.read_text()
+        current = render(collect())
+        if current == GOLDEN_PATH.read_text():
+            return
+        golden, now = json.loads(GOLDEN_PATH.read_text()), json.loads(current)
+        drift = [
+            f"{section}/{analyzer}: missing {[r for r in want if r not in got]}"
+            f", extra {[r for r in got if r not in want]}"
+            for section, analyzers in golden.items()
+            for analyzer, want in analyzers.items()
+            for got in [now.get(section, {}).get(analyzer, [])]
+        ]
+        raise AssertionError(
+            f"findings drifted from {GOLDEN_PATH.name}:\n  "
+            + "\n  ".join(drift)
+            + "\nIf the change is intended, regenerate with PYTHONPATH=src "
+            "python tests/analysis/test_walker_golden.py --regen"
+        )
 
     def test_corpus_exercises_every_rule(self):
         """The corpus carries evidence for both analyzers, not one."""

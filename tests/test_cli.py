@@ -68,6 +68,7 @@ class TestParser:
             (["serve", "two-tenant", "--duration-s", "inf"], "--duration-s"),
             (["serve", "two-tenant", "--duration-s", "0"], "--duration-s"),
             (["serve", "two-tenant", "--duration-s", "-1"], "--duration-s"),
+            (["serve", "two-tenant", "--duration-s", "1e300"], "--duration-s"),
             (["serve", "two-tenant", "--duration-s", "soon"], "--duration-s"),
         ],
     )
