@@ -22,8 +22,8 @@ One statement policy serves both lattices:
 * ``a, b = x, y`` binds element by element; other destructuring binds
   every element to the lattice's top.
 * functions and lambdas evaluate in a fresh env; class bodies walk each
-  statement in a fresh env; decorators and default arguments evaluate in
-  the enclosing env.
+  statement in a fresh env; decorators, default arguments and parameter
+  annotations evaluate in the enclosing env.
 * every other statement kind (``try``, ``while``, ``match``, ...) and
   every expression kind without a hook has its children visited in
   order, and an unhooked expression yields the lattice's top.  Nothing
@@ -47,7 +47,7 @@ V = TypeVar("V")
 _EXITS = (ast.Return, ast.Raise, ast.Continue, ast.Break)
 
 
-def finding_order(diag: Diagnostic) -> tuple[str, str, str]:
+def _finding_order(diag: Diagnostic) -> tuple[str, str, str]:
     """The report order shared by the NUM and UNI passes."""
     return (diag.rule_id, diag.location, diag.message)
 
@@ -85,7 +85,7 @@ class Walker(Generic[V]):
     def findings(self) -> list[Diagnostic]:
         """Walk the module once and return its sorted findings."""
         self.walk(self.tree.body, {})
-        self.diags.sort(key=finding_order)
+        self.diags.sort(key=_finding_order)
         return self.diags
 
     def _flag(
@@ -365,4 +365,4 @@ def scan(
     diagnostics: list[Diagnostic] = []
     for path in paths:
         diagnostics.extend(check(path.read_text(), path.relative_to(base).as_posix()))
-    return sorted(diagnostics, key=finding_order)
+    return sorted(diagnostics, key=_finding_order)
